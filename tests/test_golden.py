@@ -1,0 +1,67 @@
+"""Byte-for-byte comparison of CLI output against frozen golden files.
+
+Each command in GOLDEN_COMMANDS runs through main() in process, and its
+stdout must equal the file of the same name under tests/golden/.  Seeded
+simulate output runs at one and at two workers against the same file.
+
+The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
+Do that only for an intended output change, and declare it.
+"""
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from belltally.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+GOLDEN_COMMANDS = {
+    "bound-default.csv": ["bound"],
+    "bound-default.json": ["bound", "--format", "json"],
+    "bound-angles.csv": ["bound", "--angles", "10,100,55,145", "--grid-step", "5"],
+    "bound-angles.json": [
+        "bound", "--angles", "10,100,55,145", "--grid-step", "5", "--format", "json",
+    ],
+    "scan-45-detection.csv": ["scan", "--grid-step", "45", "--detection", "0.9,0.8,0.85,0.95"],
+    "scan-90.json": ["scan", "--grid-step", "90", "--format", "json"],
+    "sequential.csv": ["sequential", "--angles", "10,77", "--detection", "0.8,0.7"],
+    "sequential.json": [
+        "sequential", "--angles", "10,77", "--detection", "0.8,0.7", "--format", "json",
+    ],
+    "simulate.csv": ["simulate", "--trials", "70000", "--seed", "7"],
+    "simulate.json": ["simulate", "--trials", "70000", "--seed", "7", "--format", "json"],
+}
+
+
+def run_main(argv):
+    """stdout bytes of a successful main(argv) that wrote nothing to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 0, err.getvalue()
+    assert err.getvalue() == ""
+    return out.getvalue().encode("utf-8")
+
+
+def _cases():
+    for name, argv in GOLDEN_COMMANDS.items():
+        if argv[0] == "simulate":
+            for workers in ("1", "2"):
+                yield pytest.param(name, [*argv, "--workers", workers], id=f"{name}-w{workers}")
+        else:
+            yield pytest.param(name, argv, id=name)
+
+
+@pytest.mark.parametrize("name, argv", list(_cases()))
+def test_output_matches_golden(name, argv):
+    assert run_main(argv) == (GOLDEN_DIR / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in GOLDEN_COMMANDS.items():
+        (GOLDEN_DIR / name).write_bytes(run_main(argv))
+        print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
