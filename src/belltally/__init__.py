@@ -24,7 +24,6 @@ from .detection import (
     GeneralizedExpectation,
     GeneralizedObservable,
     OutcomeDistribution,
-    detection_products_within_symmetric_limit,
     generalized_correlation,
     generalized_expectation,
     joint_detection_probability,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .detection import DetectionModel
 from .errors import ConfigurationError, InputValidationError
@@ -41,9 +40,7 @@ from .quantum import (
     SIGMA_Z,
     DensityState,
     Direction,
-    quantum_expectation_product,
     spin_label,
-    spin_observable,
 )
 
 # Margin above the algebraic limit 2 before a value counts as a violation.
@@ -131,16 +128,10 @@ def conditional_expectations(
     state: DensityState, setting: ChshSetting
 ) -> tuple[float, float, float, float]:
     """The four registered-trials correlations (ab, ab', a'b, a'b')."""
-    obs_a = spin_observable(setting.a, 1)
-    obs_a_prime = spin_observable(setting.a_prime, 1)
-    obs_b = spin_observable(setting.b, 2)
-    obs_b_prime = spin_observable(setting.b_prime, 2)
-    return (
-        quantum_expectation_product(state, obs_a, obs_b),
-        quantum_expectation_product(state, obs_a, obs_b_prime),
-        quantum_expectation_product(state, obs_a_prime, obs_b),
-        quantum_expectation_product(state, obs_a_prime, obs_b_prime),
-    )
+    left = np.array([setting.a.as_array(), setting.a_prime.as_array()])
+    right = np.array([setting.b.as_array(), setting.b_prime.as_array()])
+    (e1, e2), (e3, e4) = _correlations(_correlation_tensor(state), left, right).tolist()
+    return e1, e2, e3, e4
 
 
 def resolve_setting_detection(
@@ -273,9 +264,15 @@ def _plane_block(state: DensityState) -> np.ndarray:
     return np.array([[tensor[0, 0], tensor[0, 2]], [tensor[2, 0], tensor[2, 2]]])
 
 
-def _plane_correlation_matrix(block: np.ndarray, angles_rad: np.ndarray) -> np.ndarray:
-    components = np.stack([np.sin(angles_rad), np.cos(angles_rad)], axis=1)
-    return components @ block @ components.T
+def _correlations(tensor: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # E(a, b) = a . T b for every row a of left and row b of right, with T
+    # the 3x3 correlation tensor or its x-z block.
+    return left @ tensor @ right.T
+
+
+def _plane_components(angles_rad: np.ndarray) -> np.ndarray:
+    # (x, z) components of in-plane directions, matching _plane_block.
+    return np.stack([np.sin(angles_rad), np.cos(angles_rad)], axis=1)
 
 
 def _lhs_grid_max(
@@ -284,7 +281,8 @@ def _lhs_grid_max(
     grid_step_deg: float,
 ) -> tuple[ChshSetting, float]:
     angles_deg = _grid_angles_deg(grid_step_deg)
-    corr = _plane_correlation_matrix(_plane_block(state), np.radians(angles_deg))
+    components = _plane_components(np.radians(angles_deg))
+    corr = _correlations(_plane_block(state), components, components)
     pa, pap, pb, pbp = weights
     n = len(angles_deg)
     scaled_b = pb * corr
@@ -356,20 +354,31 @@ def min_detection_bound(grid_step_deg: float = 1.0) -> float:
     return min(1.0, math.sqrt(2.0 / denominator))
 
 
+# The two-angle pattern search stops once its step falls below this many
+# degrees; the reduced objective is smooth near its maximum, so the value has
+# then converged far below 1e-12.
+_PATTERN_STEP_FLOOR_DEG = 1e-9
+_PATTERN_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
 def optimize_chsh_angles(
     state: DensityState,
     det: DetectionModel | None,
     objective: str = "standard",
     *,
     grid_step_deg: float = 10.0,
-    refine_iterations: int = 200,
 ) -> tuple[ChshSetting, float]:
     """Deterministically maximize a functional over coplanar settings.
 
-    Coarse grid search at grid_step_deg, then derivative-free simplex
-    refinement of the four angles.  objective "standard" maximizes the
+    For fixed b and b' the maximum over a and a' is analytic.  With M the
+    x-z block of the correlation tensor, the functional reaches
+    p_a |M(p_b b - p_b' b')| + p_a' |M(p_b b + p_b' b')| when a and a' point
+    along those two vectors.  The remaining two angles are searched on the
+    grid_step_deg grid, then by a pattern search whose step halves from
+    grid_step_deg down to 1e-9 degrees.  objective "standard" maximizes the
     unweighted functional; "modified" weights each correlation by
-    direction-independent detection probabilities resolved from det.
+    direction-independent detection probabilities resolved from det.  The
+    returned value is the functional evaluated at the returned setting.
     """
     if objective not in ("standard", "modified"):
         raise InputValidationError(f"unknown objective {objective!r}")
@@ -379,36 +388,40 @@ def optimize_chsh_angles(
         weights = _resolve_role_detection(det, state.label)
     else:
         weights = (1.0, 1.0, 1.0, 1.0)
-
-    coarse_setting, coarse_value = _lhs_grid_max(state, weights, grid_step_deg)
     block = _plane_block(state)
     pa, pap, pb, pbp = weights
 
-    def negated(angles_rad: np.ndarray) -> float:
-        components = np.stack([np.sin(angles_rad), np.cos(angles_rad)], axis=1)
-        corr = components[:2] @ block @ components[2:].T
-        return -(
-            abs(pa * (pb * corr[0, 0] - pbp * corr[0, 1]))
-            + abs(pap * (pb * corr[1, 0] + pbp * corr[1, 1]))
+    def images(points_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Columns M(p_b b - p_b' b') and M(p_b b + p_b' b') for each (b, b')
+        # row; the x and z axes as left directions read both components off
+        # the kernel.
+        b = pb * _plane_components(np.radians(points_deg[:, 0]))
+        b_prime = pbp * _plane_components(np.radians(points_deg[:, 1]))
+        return (
+            _correlations(block, np.eye(2), b - b_prime),
+            _correlations(block, np.eye(2), b + b_prime),
         )
 
-    start = np.radians(coarse_setting.plane_angles_deg())
-    result = minimize(
-        negated,
-        start,
-        method="Nelder-Mead",
-        options={
-            "maxiter": refine_iterations,
-            "xatol": 1e-10,
-            "fatol": 1e-12,
-            "adaptive": False,
-        },
-    )
-    refined_value = -float(result.fun)
-    if refined_value <= coarse_value:
-        return coarse_setting, coarse_value
-    degrees = np.degrees(result.x) % 360.0
-    return ChshSetting.from_plane_angles(*degrees), refined_value
+    # The first pass scores the whole (b, b') grid; each later pass scores
+    # the four pattern moves around the best point so far.
+    angles = _grid_angles_deg(grid_step_deg)
+    candidates = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(-1, 2)
+    best, step = -np.inf, float(grid_step_deg)
+    while step >= _PATTERN_STEP_FLOOR_DEG:
+        minus, plus = images(candidates)
+        values = pa * np.hypot(*minus) + pap * np.hypot(*plus)
+        k = int(np.argmax(values))
+        if values[k] > best:
+            point, best = candidates[k], values[k]
+        else:
+            step /= 2.0
+        candidates = point + step * _PATTERN_MOVES
+
+    minus, plus = images(point[None, :])
+    a_deg, a_prime_deg = np.degrees(np.arctan2(*np.hstack([minus, plus]))) % 360.0
+    b_deg, b_prime_deg = point % 360.0
+    setting = ChshSetting.from_plane_angles(a_deg, a_prime_deg, b_deg, b_prime_deg)
+    return setting, _weighted_lhs(*conditional_expectations(state, setting), weights)
 
 
 def angle_scan(
@@ -427,7 +440,8 @@ def angle_scan(
         )
     count = int(math.floor(2.0 * math.pi / grid_step + 1e-9))
     angles = np.arange(count) * grid_step
-    corr = _plane_correlation_matrix(_plane_block(state), angles)
+    components = _plane_components(angles)
+    corr = _correlations(_plane_block(state), components, components)
     cosines = np.cos(angles[:, None] - angles[None, :])
     directions = [Direction.in_plane(theta) for theta in angles]
     detect = {}

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -60,34 +60,32 @@ SCAN_COLUMNS = [
     "modified_violated",
 ]
 
-_CONFIG_KEYS = {
-    "state",
-    "angles",
-    "detection",
-    "apparatus_factor",
-    "trials",
-    "seed",
-    "format",
-    "grid_step",
-    "model",
-    "workers",
-}
+
+def _optional_float(value: Any) -> float | None:
+    return None if value is None else float(value)
+
+
+def _config_field(default: Any, key: str | None = None, convert: Any = None) -> Any:
+    # One config field: key names both the config-file key and the flag's
+    # argparse dest (the field name when None); convert, when given, is
+    # applied to a supplied value.
+    return field(default=default, metadata={"key": key, "convert": convert})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Merged command configuration; flags override config-file values."""
 
-    state_spec: Any = "singlet"
-    angles_spec: Any = "tsirelson"
-    detection_spec: Any = 1.0
-    apparatus_factor: float = 1.0
-    trials: int = 100000
-    seed: int = 0
-    format: str = "csv"
-    grid_step_deg: float | None = None
-    model_name: str = "gisin-gisin"
-    workers: int = 1
+    state_spec: Any = _config_field("singlet", "state")
+    angles_spec: Any = _config_field("tsirelson", "angles")
+    detection_spec: Any = _config_field(1.0, "detection")
+    apparatus_factor: float = _config_field(1.0, convert=float)
+    trials: int = _config_field(100000, convert=int)
+    seed: int = _config_field(0, convert=int)
+    format: str = _config_field("csv", convert=str)
+    grid_step_deg: float | None = _config_field(None, "grid_step", _optional_float)
+    model_name: str = _config_field("gisin-gisin", "model", str)
+    workers: int = _config_field(1, convert=int)
 
     def __post_init__(self) -> None:
         if self.format not in ("csv", "json"):
@@ -140,14 +138,26 @@ class ExperimentConfig:
             if len(spec) == 1:
                 spec = spec[0]
         if np.isscalar(spec):
-            return DetectionModel.uniform(float(spec), self.apparatus_factor)
-        values = [float(v) for v in spec]
+            return DetectionModel.uniform(_number(spec), self.apparatus_factor)
+        if not isinstance(spec, (list, tuple)):
+            raise ConfigurationError(f"cannot interpret detection spec {spec!r}")
+        values = [_number(v) for v in spec]
         if len(values) != len(roles):
             raise ConfigurationError(
                 f"detection spec must provide 1 or {len(roles)} values, got {len(values)}"
             )
         entries = {(state_label, role): value for role, value in zip(roles, values)}
         return DetectionModel(entries=entries, apparatus_factor=self.apparatus_factor)
+
+
+_CONFIG_FIELDS = {spec.metadata["key"] or spec.name: spec for spec in fields(ExperimentConfig)}
+
+
+def _number(value: Any) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"cannot parse {value!r} as a number") from None
 
 
 def _parse_number_list(text: str) -> list[float]:
@@ -166,12 +176,12 @@ def _parse_angles(spec: Any) -> list[Direction]:
     if not isinstance(spec, (list, tuple)) or len(spec) == 0:
         raise ConfigurationError(f"cannot interpret angle spec {spec!r}")
     if all(np.isscalar(v) for v in spec):
-        return [Direction.from_plane_degrees(float(v)) for v in spec]
+        return [Direction.from_plane_degrees(_number(v)) for v in spec]
     directions = []
     for entry in spec:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ConfigurationError(f"direction {entry!r} must have three components")
-        directions.append(Direction.normalized(*(float(v) for v in entry)))
+        directions.append(Direction.normalized(*(_number(v) for v in entry)))
     return directions
 
 
@@ -179,7 +189,7 @@ def _parse_complex_entry(value: Any) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0]), _number(value[1]))
     raise ConfigurationError(f"matrix entry {value!r} must be a number or a [re, im] pair")
 
 
@@ -225,36 +235,22 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigurationError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        unknown = set(file_values) - _CONFIG_KEYS
+        unknown = set(file_values) - set(_CONFIG_FIELDS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(flag_name: str, file_key: str, fallback: Any) -> Any:
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if file_key in file_values:
-            return file_values[file_key]
-        return fallback
-
+    values: dict[str, Any] = {}
     try:
-        return ExperimentConfig(
-            state_spec=pick("state", "state", "singlet"),
-            angles_spec=pick("angles", "angles", "tsirelson"),
-            detection_spec=pick("detection", "detection", 1.0),
-            apparatus_factor=float(pick("apparatus_factor", "apparatus_factor", 1.0)),
-            trials=int(pick("trials", "trials", 100000)),
-            seed=int(pick("seed", "seed", 0)),
-            format=str(pick("format", "format", "csv")),
-            grid_step_deg=(
-                None
-                if pick("grid_step", "grid_step", None) is None
-                else float(pick("grid_step", "grid_step", None))
-            ),
-            model_name=str(pick("model", "model", "gisin-gisin")),
-            workers=int(pick("workers", "workers", 1)),
-        )
-    except (TypeError, ValueError) as exc:
+        for key, spec in _CONFIG_FIELDS.items():
+            value = getattr(args, key, None)
+            if value is None:
+                if key not in file_values:
+                    continue
+                value = file_values[key]
+            convert = spec.metadata["convert"]
+            values[spec.name] = value if convert is None else convert(value)
+        return ExperimentConfig(**values)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed config value: {exc}") from exc
 
 
@@ -264,10 +260,6 @@ def _fmt(value: float) -> str:
 
 def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
-
-
-def _fmt_angle(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
 
 
 def _csv_writer() -> Any:
@@ -313,11 +305,7 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
             "grid_min_no_registration_lower_bound",
         ]
     )
-    cells = (
-        [_fmt_angle(v) for v in (angles or (None, None, None, None))]
-        if angles is not None
-        else ["", "", "", ""]
-    )
+    cells = ["", "", "", ""] if angles is None else [_fmt(v) for v in angles]
     writer.writerow(
         cells + [_fmt(bound), _fmt(1.0 - bound), _fmt(grid_min), _fmt(1.0 - grid_min)]
     )

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-import numpy as np
-
 from .errors import ConfigurationError, InputValidationError
 from .quantum import (
     ALGEBRA_TOL,
@@ -372,26 +370,3 @@ def generalized_correlation(
     total += a_none * b_none * (1.0 - detect_a) * (1.0 - detect_b)
     return total
 
-
-def detection_products_within_symmetric_limit(
-    detect_a: float,
-    detect_a_prime: float,
-    detect_b: float,
-    detect_b_prime: float,
-) -> bool:
-    """Heuristic indicator: every A-side x B-side detection product at or
-    below 1/sqrt(2).
-
-    This generalizes the equal-probability threshold (detection squared at
-    most 1/sqrt(2)) to unequal values.  It is an indicator, not a sharp
-    bound: unequal weights can violate or satisfy the weighted inequality
-    on either side of this line depending on the correlations.
-    """
-    limit = 1.0 / np.sqrt(2.0) + ALGEBRA_TOL
-    products = (
-        detect_a * detect_b,
-        detect_a * detect_b_prime,
-        detect_a_prime * detect_b,
-        detect_a_prime * detect_b_prime,
-    )
-    return all(p <= limit for p in products)

@@ -54,7 +54,8 @@ class Direction:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > ALGEBRA_TOL:
+        # Written so that a NaN component fails the check.
+        if not abs(norm - 1.0) <= ALGEBRA_TOL:
             raise InputValidationError(
                 f"direction must be unit length, got |v| = {norm!r}"
             )
@@ -62,6 +63,8 @@ class Direction:
     @classmethod
     def in_plane(cls, angle_rad: float) -> "Direction":
         """Direction at ``angle_rad`` from the z axis inside the x-z plane."""
+        if not math.isfinite(angle_rad):
+            raise InputValidationError(f"angle must be finite, got {angle_rad!r}")
         return cls(math.sin(angle_rad), 0.0, math.cos(angle_rad))
 
     @classmethod
@@ -105,6 +108,8 @@ class DensityState:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (4, 4):
             raise InputValidationError(f"state matrix must be 4x4, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise InputValidationError("state matrix has non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_TOL:
             raise InputValidationError("state matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > ALGEBRA_TOL or abs(np.trace(mat).imag) > ALGEBRA_TOL:

@@ -5,6 +5,8 @@ oracle here is a literal four-way loop over a coarse angle grid built from
 independently computed correlations.
 """
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +70,34 @@ class TestChshSetting:
         y = Direction(0.0, 1.0, 0.0)
         setting = ChshSetting(y, y, y, y)
         assert setting.plane_angles_deg() is None
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, belltally; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
+class TestConditionalExpectations:
+    def test_matches_projector_route_out_of_plane(self):
+        """The tensor kernel agrees with sum_np a_n b_p Tr[rho P_n Q_p] for
+        arbitrary directions, not only in-plane ones."""
+        rng = np.random.default_rng(113)
+        for _ in range(10):
+            state = random_density_state(rng)
+            a, a_prime, b, b_prime = (random_direction(rng) for _ in range(4))
+            setting = ChshSetting(a, a_prime, b, b_prime)
+            expected = [
+                quantum_expectation_product(
+                    state, spin_observable(left, 1), spin_observable(right, 2)
+                )
+                for left, right in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
+            ]
+            assert conditional_expectations(state, setting) == pytest.approx(
+                expected, abs=1e-12
+            )
 
 
 class TestStandardLhs:
@@ -290,6 +320,22 @@ class TestOptimizer:
         block = plane_correlations(state, (90.0, 0.0))
         ceiling = 2.0 * math.sqrt(float((np.linalg.svd(block, compute_uv=False) ** 2).sum()))
         assert fine - 1e-9 <= value <= ceiling + 1e-9
+
+    def test_modified_objective_unequal_weights(self):
+        """With unequal role weights the optimum dominates the fine four-angle
+        grid, and the returned value is the functional at the returned
+        setting."""
+        rng = np.random.default_rng(127)
+        roles = ("a", "a_prime", "b", "b_prime")
+        for _ in range(3):
+            state = random_density_state(rng)
+            weights = tuple(float(w) for w in rng.uniform(0.2, 1.0, size=4))
+            det = DetectionModel(entries={("random", r): w for r, w in zip(roles, weights)})
+            setting, value = optimize_chsh_angles(state, det, "modified")
+            _, fine = modified_lhs_grid_max(state, weights, 1.0)
+            assert value >= fine - 1e-9
+            direct = modified_chsh_lhs(setting, state, det).modified_lhs
+            assert value == pytest.approx(direct, abs=1e-9)
 
     def test_deterministic(self):
         state = singlet_state()

@@ -373,3 +373,37 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:")
         assert "foo" in err
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["bound", "--angles", "nan,90,45,135", "--format", "json", "--grid-step", "45"], None),
+            (["bound", "--angles", "inf,90,45,135"], None),
+            (["bound", "--angles", "nan,0,0;0,0,1;0,0,1;1,0,0", "--format", "json"], None),
+            (["scan", "--grid-step", "90"], {"detection": [0.9, 0.9, 0.9, "x"]}),
+            (["bound"], {"angles": [0, "x", 45, 135]}),
+            (["scan", "--grid-step", "90", "--format", "json"], {"detection": None}),
+            (
+                ["scan", "--grid-step", "90", "--format", "json"],
+                {"state": [[float("nan"), 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+            ),
+        ],
+        ids=[
+            "nan-angle",
+            "inf-angle",
+            "nan-vector",
+            "config-detection-text",
+            "config-angle-text",
+            "config-detection-null",
+            "config-nan-state",
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "NaN" not in out

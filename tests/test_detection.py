@@ -21,7 +21,6 @@ from belltally import (
     Z_AXIS,
     born_joint_probability,
     born_probability,
-    detection_products_within_symmetric_limit,
     generalized_correlation,
     generalized_expectation,
     joint_detection_probability,
@@ -397,17 +396,3 @@ class TestGeneralizedCorrelation:
                 GeneralizedObservable(spin_observable(X_AXIS, 1)),
                 DetectionModel.uniform(1.0),
             )
-
-
-class TestSymmetricLimitIndicator:
-    def test_threshold_cases(self):
-        quarter_root = 2.0 ** -0.25
-        assert detection_products_within_symmetric_limit(
-            quarter_root, quarter_root, quarter_root, quarter_root
-        )
-        assert not detection_products_within_symmetric_limit(0.85, 0.85, 0.85, 0.85)
-
-    def test_asymmetric_products(self):
-        # 1.0 * 0.7 = 0.7 < 1/sqrt(2) on every cross pair
-        assert detection_products_within_symmetric_limit(1.0, 1.0, 0.7, 0.7)
-        assert not detection_products_within_symmetric_limit(1.0, 0.5, 0.9, 0.5)
