@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -334,9 +335,11 @@ def modified_lhs_grid_max(
 def min_detection_bound(grid_step_deg: float = 1.0) -> float:
     """Global minimum of detection_bound over the coplanar angle grid.
 
-    The bound's denominator depends only on angle differences, so the grid
-    minimum equals the minimum with the first angle fixed; the separable
-    maximum of the denominator gives it directly.
+    The separable maximum of the bound's denominator over all four grid
+    angles gives it in O(N^3) operations.  The denominator depends only on
+    angle differences, so fixing the first angle would give the same value
+    in exact arithmetic, but not in floating point: the result would move
+    by 1-2 ulp on most grids.
     """
     angles = np.radians(_grid_angles_deg(grid_step_deg))
     cosines = np.cos(angles[:, None] - angles[None, :])
@@ -424,6 +427,85 @@ def optimize_chsh_angles(
     return setting, _weighted_lhs(*conditional_expectations(state, setting), weights)
 
 
+def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tuple:
+    """Check and lay out the coplanar scan with grid_step radians.
+
+    Returns the grid directions; the detection probabilities of each grid
+    angle per role (a, a', b, b'), resolved through spin_label; the
+    correlation matrix E[i, j] = E(angle i, angle j); and the lazy
+    _scan_blocks iterator.  Every input check runs before this returns.
+    """
+    if not 0.0 < grid_step <= math.pi / 2.0 + ALGEBRA_TOL:
+        raise InputValidationError(
+            f"grid step must lie in (0, pi/2] radians, got {grid_step!r}"
+        )
+    count = int(math.floor(2.0 * math.pi / grid_step + 1e-9))
+    angles = np.arange(count) * grid_step
+    components = _plane_components(angles)
+    corr = _correlations(_plane_block(state), components, components)
+    outside = np.abs(corr) > 1.0 + 1e-9
+    if outside.any():
+        raise InputValidationError(f"correlation {float(corr[outside][0])!r} lies outside [-1, 1]")
+    cosines = np.cos(angles[:, None] - angles[None, :])
+    directions = [Direction.in_plane(theta) for theta in angles.tolist()]
+    probs = []
+    for role, subsystem in ((ROLE_A, 1), (ROLE_A_PRIME, 1), (ROLE_B, 2), (ROLE_B_PRIME, 2)):
+        try:
+            probs.append(
+                [det.probability(state.label, spin_label(d, subsystem), role) for d in directions]
+            )
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"scan cannot resolve role {role!r}: {exc}") from None
+    return directions, probs, corr, _scan_blocks(corr, cosines, probs)
+
+
+def _scan_blocks(
+    corr: np.ndarray, cosines: np.ndarray, probs: Sequence[Sequence[float]]
+) -> Iterator[tuple]:
+    """Yield (ia, iap, standard, modified, bound, standard_violated,
+    modified_violated) for each (a, a') pair in lexicographic order, the
+    last five as arrays indexed [b, b'].
+
+    The functionals take the same elementwise float operations, in the same
+    order, as standard_chsh_lhs and _weighted_lhs, so they equal the scalar
+    results bit for bit.  The bound applies detection_bound's formula to
+    a.b = cos(angle a - angle b); detection_bound sums the components
+    instead, so the two can differ in the last bit.
+    """
+    pa, pap, pb, pbp = (np.array(p, dtype=float) for p in probs)
+    clipped = np.clip(corr, -1.0, 1.0)
+    scaled_b, scaled_bp = pb * corr, pbp * corr
+    for ia in range(len(corr)):
+        # The first term of each column depends on a only.
+        standard_a = np.abs(clipped[ia][:, None] - clipped[ia][None, :])
+        modified_a = np.abs(pa[ia] * (scaled_b[ia][:, None] - scaled_bp[ia][None, :]))
+        denominator_a = np.abs(cosines[ia][:, None] - cosines[ia][None, :])
+        for iap in range(len(corr)):
+            standard = standard_a + np.abs(clipped[iap][:, None] + clipped[iap][None, :])
+            modified = modified_a + np.abs(
+                pap[iap] * (scaled_b[iap][:, None] + scaled_bp[iap][None, :])
+            )
+            denominator = denominator_a + np.abs(cosines[iap][:, None] + cosines[iap][None, :])
+            # The floor only avoids dividing by zero where np.where picks 1 anyway.
+            bound = np.where(
+                denominator <= ALGEBRA_TOL,
+                1.0,
+                np.minimum(1.0, np.sqrt(2.0 / np.maximum(denominator, ALGEBRA_TOL))),
+            )
+            # ChshReport's range checks, on the whole block.
+            if standard.min() < 0.0 or modified.min() < 0.0:
+                raise InputValidationError("functional values cannot be negative")
+            outside = ~((bound > 0.0) & (bound <= 1.0))
+            if outside.any():
+                raise InputValidationError(
+                    f"bound must lie in (0, 1], got {float(bound[outside][0])!r}"
+                )
+            yield (
+                ia, iap, standard, modified, bound,
+                standard > 2.0 + VIOLATION_TOL, modified > 2.0 + VIOLATION_TOL,
+            )
+
+
 def angle_scan(
     state: DensityState, det: DetectionModel, grid_step: float
 ) -> Iterator[ChshReport]:
@@ -434,62 +516,13 @@ def angle_scan(
     per direction with role-alias and default fallback; an unresolvable
     entry raises a ConfigurationError naming the role.
     """
-    if not 0.0 < grid_step <= math.pi / 2.0 + ALGEBRA_TOL:
-        raise InputValidationError(
-            f"grid step must lie in (0, pi/2] radians, got {grid_step!r}"
-        )
-    count = int(math.floor(2.0 * math.pi / grid_step + 1e-9))
-    angles = np.arange(count) * grid_step
-    components = _plane_components(angles)
-    corr = _correlations(_plane_block(state), components, components)
-    cosines = np.cos(angles[:, None] - angles[None, :])
-    directions = [Direction.in_plane(theta) for theta in angles]
-    detect = {}
-    for role, subsystem in ((ROLE_A, 1), (ROLE_A_PRIME, 1), (ROLE_B, 2), (ROLE_B_PRIME, 2)):
-        try:
-            detect[role] = [
-                det.probability(state.label, spin_label(d, subsystem), role=role)
-                for d in directions
-            ]
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"scan cannot resolve role {role!r}: {exc}") from None
-
-    for ia in range(count):
-        for iap in range(count):
-            for ib in range(count):
-                for ibp in range(count):
-                    e1 = float(corr[ia, ib])
-                    e2 = float(corr[ia, ibp])
-                    e3 = float(corr[iap, ib])
-                    e4 = float(corr[iap, ibp])
-                    probs = (
-                        detect[ROLE_A][ia],
-                        detect[ROLE_A_PRIME][iap],
-                        detect[ROLE_B][ib],
-                        detect[ROLE_B_PRIME][ibp],
-                    )
-                    standard = standard_chsh_lhs(e1, e2, e3, e4)
-                    weighted = _weighted_lhs(e1, e2, e3, e4, probs)
-                    denominator = abs(cosines[ia, ib] - cosines[ia, ibp]) + abs(
-                        cosines[iap, ib] + cosines[iap, ibp]
-                    )
-                    bound = (
-                        1.0
-                        if denominator <= ALGEBRA_TOL
-                        else min(1.0, math.sqrt(2.0 / denominator))
-                    )
-                    yield ChshReport(
-                        setting=ChshSetting(
-                            directions[ia], directions[iap], directions[ib], directions[ibp]
-                        ),
-                        e_ab=e1,
-                        e_ab_prime=e2,
-                        e_a_prime_b=e3,
-                        e_a_prime_b_prime=e4,
-                        standard_lhs=standard,
-                        modified_lhs=weighted,
-                        detection_probs=probs,
-                        bound=bound,
-                        standard_violated=standard > 2.0 + VIOLATION_TOL,
-                        modified_violated=weighted > 2.0 + VIOLATION_TOL,
-                    )
+    directions, (pa, pap, pb, pbp), corr, blocks = _scan_grid(state, det, grid_step)
+    e = corr.tolist()
+    grid = range(len(directions))
+    for ia, iap, *columns in blocks:
+        rows = zip(product(grid, grid), *(column.ravel().tolist() for column in columns))
+        for (ib, ibp), standard, modified, bound, *flags in rows:
+            setting = ChshSetting(directions[ia], directions[iap], directions[ib], directions[ibp])
+            correlations = (e[ia][ib], e[ia][ibp], e[iap][ib], e[iap][ibp])
+            probs = (pa[ia], pap[iap], pb[ib], pbp[ibp])
+            yield ChshReport(setting, *correlations, standard, modified, probs, bound, *flags)

@@ -8,19 +8,22 @@ success, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Any, Sequence
+from itertools import chain
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+# angle_scan is bound here, though cmd_scan streams _scan_grid's blocks,
+# because perfbench/tracer.py wraps it among the names cli looks up.
 from .chsh import (
     ChshSetting,
-    angle_scan,
+    _scan_grid,
+    angle_scan,  # noqa: F401
     detection_bound,
     min_detection_bound,
 )
@@ -258,12 +261,9 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _csv_writer() -> Any:
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit_csv(*rows: Sequence[str]) -> None:
+    # Every cell is a number or a fixed name, so none needs quoting.
+    sys.stdout.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _emit_json(payload: dict[str, Any]) -> None:
@@ -278,38 +278,71 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     bound = detection_bound(setting)
     grid_min = min_detection_bound(step)
     angles = setting.plane_angles_deg()
+    point = {"bound": bound, "no_registration_lower_bound": 1.0 - bound}
+    grid = {"grid_min_bound": grid_min, "grid_min_no_registration_lower_bound": 1.0 - grid_min}
     if cfg.format == "json":
         _emit_json(
             {
                 "schema_version": SCHEMA_VERSION,
                 "angles_deg": None if angles is None else list(angles),
                 "directions": [list(d.as_array()) for d in setting.directions()],
-                "bound": bound,
-                "no_registration_lower_bound": 1.0 - bound,
+                **point,
                 "grid_step_deg": step,
-                "grid_min_bound": grid_min,
-                "grid_min_no_registration_lower_bound": 1.0 - grid_min,
+                **grid,
             }
         )
         return 0
-    writer = _csv_writer()
-    writer.writerow(
-        [
-            "a_deg",
-            "aprime_deg",
-            "b_deg",
-            "bprime_deg",
-            "bound",
-            "no_registration_lower_bound",
-            "grid_min_bound",
-            "grid_min_no_registration_lower_bound",
-        ]
-    )
     cells = ["", "", "", ""] if angles is None else [_fmt(v) for v in angles]
-    writer.writerow(
-        cells + [_fmt(bound), _fmt(1.0 - bound), _fmt(grid_min), _fmt(1.0 - grid_min)]
+    _emit_csv(
+        ["a_deg", "aprime_deg", "b_deg", "bprime_deg", *point, *grid],
+        cells + [_fmt(v) for v in (*point.values(), *grid.values())],
     )
     return 0
+
+
+def _scan_text(scan: tuple, json_rows: bool) -> Iterator[str]:
+    """The rows of a _scan_grid scan as text, one chunk per (a, a') block.
+
+    CSV cells are fixed-point with 6 decimals.  JSON rows are the text
+    json.dump(indent=2) writes for them inside the payload's "rows" list,
+    with no comma after the last.  Cells that depend on one grid angle are
+    formatted once per angle, and so are the (b, b') and flag pairs of
+    adjacent cells; each block is one %-template, filled per row with those
+    pairs and the three computed columns.
+    """
+    # leads[k] is the text before the cell of column k.
+    if json_rows:
+        cell, number, close, between = json.dumps, "%r", "\n    }", ",\n"
+        leads = [f',\n      "{column}": ' for column in SCAN_COLUMNS]
+        leads[0] = f'    {{\n      "{SCAN_COLUMNS[0]}": '
+    else:
+        cell, number, close, between = _fmt, "%.6f", "\n", ""
+        leads = [""] + [","] * (len(SCAN_COLUMNS) - 1)
+    directions, probs, _, blocks = scan
+    angles = [cell(d.plane_angle_deg()) for d in directions]
+    pa, pap, pb, pbp = ([cell(p) for p in role] for role in probs)
+    grid = range(len(angles))
+    b_pairs = [angles[j] + leads[3] + angles[k] for j in grid for k in grid]
+    pb_pairs = [pb[j] + leads[7] + pbp[k] for j in grid for k in grid]
+    flags = ("false", "true")
+    flag_pairs = np.array([s + leads[12] + m for s in flags for m in flags])
+    skip = len(between)
+    for ia, iap, standard, modified, bound, standard_violated, modified_violated in blocks:
+        row = "".join(
+            [between, leads[0], angles[ia], leads[1], angles[iap], leads[2], "%s"]
+            + [leads[4], pa[ia], leads[5], pap[iap], leads[6], "%s"]
+            + [leads[8], number, leads[9], number, leads[10], number, leads[11], "%s", close]
+        )
+        values = zip(
+            b_pairs,
+            pb_pairs,
+            standard.ravel().tolist(),
+            modified.ravel().tolist(),
+            bound.ravel().tolist(),
+            flag_pairs[2 * standard_violated + modified_violated].ravel().tolist(),
+        )
+        yield (row * len(b_pairs) % tuple(chain.from_iterable(values)))[skip:]
+        skip = 0
 
 
 def cmd_scan(cfg: ExperimentConfig) -> int:
@@ -317,127 +350,63 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     state = cfg.resolve_state()
     det = cfg.resolve_detection(state.label, ("a", "a_prime", "b", "b_prime"))
     step = cfg.grid_step_deg if cfg.grid_step_deg is not None else 45.0
-    reports = angle_scan(state, det, math.radians(step))
+    scan = _scan_grid(state, det, math.radians(step))
     if cfg.format == "json":
-        rows = []
-        for report in reports:
-            angles = report.setting.plane_angles_deg()
-            assert angles is not None
-            rows.append(
-                {
-                    "a_deg": angles[0],
-                    "aprime_deg": angles[1],
-                    "b_deg": angles[2],
-                    "bprime_deg": angles[3],
-                    "pd_a": report.detection_probs[0],
-                    "pd_aprime": report.detection_probs[1],
-                    "pd_b": report.detection_probs[2],
-                    "pd_bprime": report.detection_probs[3],
-                    "standard_lhs": report.standard_lhs,
-                    "modified_lhs": report.modified_lhs,
-                    "bound": report.bound,
-                    "standard_violated": report.standard_violated,
-                    "modified_violated": report.modified_violated,
-                }
-            )
-        _emit_json(
-            {"schema_version": SCHEMA_VERSION, "grid_step_deg": step, "rows": rows}
+        sys.stdout.write(
+            '{\n  "schema_version": %s,\n  "grid_step_deg": %s,\n  "rows": [\n'
+            % (json.dumps(SCHEMA_VERSION), json.dumps(step))
         )
+        sys.stdout.writelines(_scan_text(scan, json_rows=True))
+        sys.stdout.write("\n  ]\n}\n")
         return 0
-    writer = _csv_writer()
-    writer.writerow(SCAN_COLUMNS)
-    for report in reports:
-        angles = report.setting.plane_angles_deg()
-        assert angles is not None
-        writer.writerow(
-            [_fmt(v) for v in angles]
-            + [_fmt(v) for v in report.detection_probs]
-            + [
-                _fmt(report.standard_lhs),
-                _fmt(report.modified_lhs),
-                _fmt(report.bound),
-                _fmt_bool(report.standard_violated),
-                _fmt_bool(report.modified_violated),
-            ]
-        )
+    _emit_csv(SCAN_COLUMNS)
+    sys.stdout.writelines(_scan_text(scan, json_rows=False))
     return 0
 
 
+def _binomial_errors(freqs: Sequence[float], counts: Sequence[int]) -> list[float]:
+    return [
+        math.sqrt(max(0.0, f * (1.0 - f)) / n) if n else float("nan")
+        for f, n in zip(freqs, counts)
+    ]
+
+
 def _simulate_metrics(sim, n_trials: int) -> list[tuple[str, str, float, float]]:
-    rows: list[tuple[str, str, float, float]] = []
-    for i, pair in enumerate(PAIR_NAMES):
-        rows.append(
-            ("micro_correlation", pair, sim.micro_correlations[i], sim.micro_correlation_errors[i])
-        )
-    for i, pair in enumerate(PAIR_NAMES):
-        rows.append(
-            (
-                "conditional_correlation",
-                pair,
-                sim.conditional_correlations[i],
-                sim.conditional_correlation_errors[i],
-            )
-        )
-    for i, pair in enumerate(PAIR_NAMES):
-        freq = sim.detection_frequencies_a[i]
-        rows.append(
-            (
-                "detection_frequency_a",
-                pair,
-                freq,
-                math.sqrt(max(0.0, freq * (1.0 - freq)) / n_trials),
-            )
-        )
-    for i, pair in enumerate(PAIR_NAMES):
-        freq = sim.detection_frequencies_b[i]
-        rows.append(
-            (
-                "detection_frequency_b",
-                pair,
-                freq,
-                math.sqrt(max(0.0, freq * (1.0 - freq)) / n_trials),
-            )
-        )
-    for i, pair in enumerate(PAIR_NAMES):
-        freq = sim.all_sample_pair_frequencies[i]
-        rows.append(
-            (
-                "all_sample_pair_frequency",
-                pair,
-                freq,
-                math.sqrt(max(0.0, freq * (1.0 - freq)) / n_trials),
-            )
-        )
-    for i, pair in enumerate(PAIR_NAMES):
-        both = sim.summary.both_detected_count(i)
-        freq = sim.detected_pair_frequencies[i]
-        error = math.sqrt(max(0.0, freq * (1.0 - freq)) / both) if both else float("nan")
-        rows.append(("detected_pair_frequency", pair, freq, error))
-    for i, pair in enumerate(PAIR_NAMES):
-        all_freq = sim.all_sample_pair_frequencies[i]
-        det_freq = sim.detected_pair_frequencies[i]
-        both = sim.summary.both_detected_count(i)
-        se_all = math.sqrt(max(0.0, all_freq * (1.0 - all_freq)) / n_trials)
-        se_det = math.sqrt(max(0.0, det_freq * (1.0 - det_freq)) / both) if both else float("nan")
-        rows.append(
-            (
-                "fair_sampling_divergence",
-                pair,
-                sim.divergences[i],
-                math.hypot(se_all, se_det),
-            )
-        )
-    rows.append(("micro_chsh", "", sim.micro_chsh, sim.micro_chsh_error))
-    rows.append(("conditional_chsh", "", sim.conditional_chsh, sim.conditional_chsh_error))
-    rows.append(
+    trials = [n_trials] * len(PAIR_NAMES)
+    both = [sim.summary.both_detected_count(i) for i in range(len(PAIR_NAMES))]
+    freqs_a, freqs_b = sim.detection_frequencies_a, sim.detection_frequencies_b
+    all_freqs, det_freqs = sim.all_sample_pair_frequencies, sim.detected_pair_frequencies
+    divergence_errors = map(
+        math.hypot, _binomial_errors(all_freqs, trials), _binomial_errors(det_freqs, both)
+    )
+    per_pair = [
+        ("micro_correlation", sim.micro_correlations, sim.micro_correlation_errors),
+        (
+            "conditional_correlation",
+            sim.conditional_correlations,
+            sim.conditional_correlation_errors,
+        ),
+        ("detection_frequency_a", freqs_a, _binomial_errors(freqs_a, trials)),
+        ("detection_frequency_b", freqs_b, _binomial_errors(freqs_b, trials)),
+        ("all_sample_pair_frequency", all_freqs, _binomial_errors(all_freqs, trials)),
+        ("detected_pair_frequency", det_freqs, _binomial_errors(det_freqs, both)),
+        ("fair_sampling_divergence", sim.divergences, divergence_errors),
+    ]
+    rows = [
+        (name, pair, value, error)
+        for name, values, errors in per_pair
+        for pair, value, error in zip(PAIR_NAMES, values, errors)
+    ]
+    return rows + [
+        ("micro_chsh", "", sim.micro_chsh, sim.micro_chsh_error),
+        ("conditional_chsh", "", sim.conditional_chsh, sim.conditional_chsh_error),
         (
             "weighted_chsh_predicted",
             "",
             sim.weighted_chsh_predicted,
             sim.weighted_chsh_predicted_error,
-        )
-    )
-    return rows
+        ),
+    ]
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -466,10 +435,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             }
         )
         return 0
-    writer = _csv_writer()
-    writer.writerow(["metric", "setting", "value", "std_error"])
-    for name, pair, value, error in rows:
-        writer.writerow([name, pair, _fmt(value), _fmt(error)])
+    _emit_csv(["metric", "setting", "value", "std_error"])
+    _emit_csv(*([name, pair, _fmt(value), _fmt(error)] for name, pair, value, error in rows))
     return 0
 
 
@@ -495,12 +462,10 @@ def cmd_sequential(cfg: ExperimentConfig) -> int:
             }
         )
         return 0
-    writer = _csv_writer()
-    writer.writerow(["kind", "a_outcome", "b_outcome", "value"])
-    for (a_value, b_value), prob in distribution.entries:
-        writer.writerow(["entry", f"{a_value:g}", f"{b_value:g}", _fmt(prob)])
-    writer.writerow(["total", "", "", _fmt(distribution.total())])
-    writer.writerow(["correlation", "", "", _fmt(correlation)])
+    _emit_csv(["kind", "a_outcome", "b_outcome", "value"])
+    _emit_csv(*(["entry", f"{a:g}", f"{b:g}", _fmt(p)] for (a, b), p in distribution.entries))
+    _emit_csv(["total", "", "", _fmt(distribution.total())])
+    _emit_csv(["correlation", "", "", _fmt(correlation)])
     return 0
 
 

@@ -4,6 +4,7 @@ The grid extremum functions use a separable two-pass reduction, so the key
 oracle here is a literal four-way loop over a coarse angle grid built from
 independently computed correlations.
 """
+import dataclasses
 import math
 import subprocess
 import sys
@@ -375,15 +376,31 @@ class TestAngleScan:
         assert all(r.modified_lhs == 0.0 for r in reports)
 
     def test_rows_match_direct_evaluation(self):
-        state = singlet_state()
-        det = DetectionModel.uniform(0.77)
-        reports = list(angle_scan(state, det, math.pi / 3.0))
-        for report in reports[:: len(reports) // 17]:
-            direct = modified_chsh_lhs(report.setting, state, det)
-            assert report.standard_lhs == pytest.approx(direct.standard_lhs, abs=1e-12)
-            assert report.modified_lhs == pytest.approx(direct.modified_lhs, abs=1e-12)
-            assert report.bound == pytest.approx(direct.bound, abs=1e-12)
-            assert report.detection_probs == direct.detection_probs
+        """Every row equals modified_chsh_lhs at its setting exactly, for a
+        mixed state and detection entries keyed by spin_label on some grid
+        angles, with role fallback on the rest.  The bound is exact on the
+        90-degree grid; elsewhere the scan takes a.b as cos(a - b) while
+        detection_bound sums components, which can differ in the last bit."""
+        rng = np.random.default_rng(2718)
+        state = random_density_state(rng, "mixed")
+        roles = ("a", "a_prime", "b", "b_prime")
+        entries = {("mixed", role): p for role, p in zip(roles, (0.9, 0.8, 0.85, 0.95))}
+        entries[("mixed", spin_label(Direction.from_plane_degrees(45.0), 1))] = 0.5
+        entries[("mixed", spin_label(Direction.from_plane_degrees(270.0), 1))] = 0.6
+        entries[("mixed", spin_label(Direction.from_plane_degrees(90.0), 2))] = 0.7
+        det = DetectionModel(entries=entries, apparatus_factor=0.97)
+        keyed = set()
+        for step_deg in (90.0, 45.0):
+            reports = list(angle_scan(state, det, math.radians(step_deg)))
+            assert len(reports) == round(360.0 / step_deg) ** 4
+            for report in reports:
+                direct = modified_chsh_lhs(report.setting, state, det)
+                if step_deg != 90.0:
+                    assert report.bound == pytest.approx(direct.bound, rel=1e-15, abs=0.0)
+                    direct = dataclasses.replace(direct, bound=report.bound)
+                assert report == direct
+                keyed.update(report.detection_probs)
+        assert {0.5 * 0.97, 0.6 * 0.97, 0.7 * 0.97, 0.9 * 0.97, 0.95 * 0.97} <= keyed
 
     def test_unresolvable_detection_raises(self):
         with pytest.raises(ConfigurationError, match="role"):

@@ -8,9 +8,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import belltally
 from belltally import (
     ChshSetting,
     DetectionModel,
@@ -155,6 +159,42 @@ class TestScan:
             assert row["standard_lhs"] == pytest.approx(report.standard_lhs, abs=1e-12)
             assert row["modified_lhs"] == pytest.approx(report.modified_lhs, abs=1e-12)
             assert row["bound"] == pytest.approx(report.bound, abs=1e-12)
+
+    def test_json_text_is_what_json_dump_writes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--grid-step", "45", "--format", "json",
+            "--detection", "0.9,0.8,0.85,0.95",
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_json_scan_memory_stays_near_a_bare_import(self):
+        """A 30-degree JSON scan (20,736 rows) peaks within 8 MB of importing
+        the CLI, because rows stream out by block.  A launcher process reads
+        each child's peak RSS, so the test runner's memory is not counted."""
+        launcher = (
+            "import os, sys\n"
+            "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,"
+            " file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(belltally.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def peak(*argv):
+            result = subprocess.run(
+                [sys.executable, "-c", launcher, *argv],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            code, maxrss = map(int, result.stdout.split())
+            assert code == 0
+            return maxrss * (1 if sys.platform == "darwin" else 1024)
+
+        bare = peak("-c", "import belltally.cli")
+        scan = peak("-m", "belltally", "scan", "--grid-step", "30", "--format", "json")
+        assert scan - bare <= 8 * 2**20
 
     def test_rejects_unphysical_detection(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--detection", "1.5", "--grid-step", "90")
