@@ -40,7 +40,6 @@ from .errors import (
 from .lhv import (
     ChshSimulation,
     FairSamplingResult,
-    HiddenVariable,
     MicrostateEnsemble,
     MicrostateModel,
     MixtureProbabilities,

@@ -119,7 +119,8 @@ def standard_chsh_lhs(
     """|E(a,b) - E(a,b')| + |E(a',b) + E(a',b')| for correlations in [-1, 1]."""
     values = (e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime)
     for value in values:
-        if abs(value) > 1.0 + 1e-9:
+        # Written so that NaN fails the check; the clip below would turn it into -1.
+        if not abs(value) <= 1.0 + 1e-9:
             raise InputValidationError(f"correlation {value!r} lies outside [-1, 1]")
     e1, e2, e3, e4 = (min(1.0, max(-1.0, v)) for v in values)
     return abs(e1 - e2) + abs(e3 + e4)

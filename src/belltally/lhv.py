@@ -14,7 +14,17 @@ Trials are processed in fixed chunks of 65536.  Chunk ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed, spawn_key=(i,)))`` and every
 chunk evaluates all settings on its own sample, so tallies are pure
 per-chunk functions of (seed, chunk index).  Merging is integer addition in
-chunk order, which makes results bit-identical for any worker count.
+chunk order, with at most two chunks per worker in flight, which makes
+results bit-identical for any worker count and keeps memory bounded for
+any trial count.
+
+Tally scheme
+------------
+Within a chunk each side evaluates its possession and detection callables
+once per distinct direction and encodes every trial as a 2-bit code,
+2 * detected + (possessed value > 0).  Each pair is then one 16-bin
+bincount over (A code, B code); the 3x3 registered-outcome tally and the
+2x2 possession tally are both sums over those 16 cells.
 
 The reference detection-loophole model (``gisin_gisin_model``) registers
 A = sign(a.lam) with probability |a.lam| and always registers
@@ -25,10 +35,12 @@ correlation -a.b while only half of the A-side trials register.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,7 +55,10 @@ PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 # respond = possess * detect, evaluated on batches:
 #   possess(axes (n,3), direction (3,)) -> (n,) values in {-1, +1}
-#   detect(axes (n,3), u (n,), direction (3,)) -> (n,) booleans
+#   detect(axes (n,3), u (n,), direction (3,)) -> (n,) booleans (or 0/1)
+# Each callable runs once per chunk for every distinct direction of its
+# side, however many pairs share that direction; its results are folded
+# into the 16 (A code, B code) cells described in the module docstring.
 PossessFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 DetectFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 SamplerFn = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -51,19 +66,9 @@ SamplerFn = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, n
 _OUTCOME_VALUES = np.array([-1.0, 0.0, 1.0])
 _PRODUCTS = np.outer(_OUTCOME_VALUES, _OUTCOME_VALUES)
 
-
-@dataclass(frozen=True)
-class HiddenVariable:
-    """One microstate: sphere point plus auxiliary uniforms for detection."""
-
-    axis: Direction
-    u_a: float
-    u_b: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("u_a", self.u_a), ("u_b", self.u_b)):
-            if not 0.0 <= value < 1.0:
-                raise InputValidationError(f"{name} must lie in [0, 1), got {value!r}")
+# Side code 2 * detected + positive -> registered outcome index into
+# _OUTCOME_VALUES: undetected codes register 0, detected ones their value.
+_CODE_TO_OUTCOME = np.array([[0, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.int64)
 
 
 def sample_hidden_uniform(
@@ -75,10 +80,14 @@ def sample_hidden_uniform(
     pure function of the generator state.
     """
     draws = rng.random((count, 4))
-    z = 2.0 * draws[:, 0] - 1.0
+    axes = np.empty((count, 3))
+    z = axes[:, 2]
+    np.multiply(2.0, draws[:, 0], out=z)
+    z -= 1.0
     azimuth = 2.0 * math.pi * draws[:, 1]
     radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    axes = np.stack([radial * np.cos(azimuth), radial * np.sin(azimuth), z], axis=1)
+    np.multiply(radial, np.cos(azimuth), out=axes[:, 0])
+    np.multiply(radial, np.sin(azimuth), out=axes[:, 1])
     return axes, draws[:, 2], draws[:, 3]
 
 
@@ -93,28 +102,16 @@ class MicrostateModel:
     detect_b: DetectFn
     sampler: SamplerFn = sample_hidden_uniform
 
-    def respond_a(self, hidden: HiddenVariable, direction: Direction) -> int:
-        """Registered A outcome in {-1, 0, +1} for one microstate."""
-        axes = hidden.axis.as_array()[None, :]
-        value = int(self.possess_a(axes, direction.as_array())[0])
-        detected = bool(self.detect_a(axes, np.array([hidden.u_a]), direction.as_array())[0])
-        return value if detected else 0
-
-    def respond_b(self, hidden: HiddenVariable, direction: Direction) -> int:
-        """Registered B outcome in {-1, 0, +1} for one microstate."""
-        axes = hidden.axis.as_array()[None, :]
-        value = int(self.possess_b(axes, direction.as_array())[0])
-        detected = bool(self.detect_b(axes, np.array([hidden.u_b]), direction.as_array())[0])
-        return value if detected else 0
-
 
 def _sign_along(axes: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    # sign with the zero set mapped to +1; the set has measure zero.
-    return np.where(axes @ direction >= 0.0, 1, -1)
+    # int8 sign with the zero set mapped to +1; the set has measure zero.
+    # Arithmetic on the 0/1 view, because np.where on a random mask is
+    # several times slower.
+    return 2 * (axes @ direction >= 0.0).view(np.int8) - 1
 
 
 def _negative_sign_along(axes: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    return np.where(axes @ direction >= 0.0, -1, 1)
+    return 1 - 2 * (axes @ direction >= 0.0).view(np.int8)
 
 
 def _constant_plus(axes: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -126,11 +123,12 @@ def _always_detect(axes: np.ndarray, u: np.ndarray, direction: np.ndarray) -> np
 
 
 def _detect_if_aligned(axes: np.ndarray, u: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    return u < np.abs(axes @ direction)
+    alignment = axes @ direction
+    return u < np.abs(alignment, out=alignment)
 
 
 def _rotated_sign(axes: np.ndarray, direction: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    return np.where(axes @ (rotation @ direction) >= 0.0, 1, -1)
+    return _sign_along(axes, rotation @ direction)
 
 
 def _threshold_detect(
@@ -141,8 +139,12 @@ def _threshold_detect(
     base: float,
     slope: float,
 ) -> np.ndarray:
-    alignment = np.abs(axes @ (rotation @ direction))
-    return u < np.clip(base + slope * alignment, 0.0, 1.0)
+    # In place, so one temporary serves the whole chain of operations.
+    alignment = axes @ (rotation @ direction)
+    np.abs(alignment, out=alignment)
+    alignment *= slope
+    alignment += base
+    return u < np.clip(alignment, 0.0, 1.0, out=alignment)
 
 
 def gisin_gisin_model() -> MicrostateModel:
@@ -347,11 +349,35 @@ class SimulationSummary:
         return math.sqrt(freq * (1.0 - freq) / self.n_trials)
 
 
-def _chunk_bounds(n_trials: int) -> list[int]:
-    sizes = [CHUNK_SIZE] * (n_trials // CHUNK_SIZE)
-    if n_trials % CHUNK_SIZE:
-        sizes.append(n_trials % CHUNK_SIZE)
-    return sizes
+def _chunk_sizes(n_trials: int) -> Iterator[int]:
+    full, rest = divmod(n_trials, CHUNK_SIZE)
+    yield from repeat(CHUNK_SIZE, full)
+    if rest:
+        yield rest
+
+
+_Job = TypeVar("_Job")
+
+
+def _ordered_sum(
+    work: Callable[[_Job], np.ndarray], jobs: Iterable[_Job], n_workers: int
+) -> np.ndarray:
+    """Sum of work(job) over jobs, added in job order.
+
+    With several workers at most 2 * n_workers jobs are in flight: the next
+    job is pulled only after the oldest result has been added, so memory
+    stays bounded however many jobs there are.
+    """
+    if n_workers == 1:
+        return sum(map(work, jobs))
+    jobs = iter(jobs)
+    total = 0
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        pending = deque(pool.submit(work, job) for job in islice(jobs, 2 * n_workers))
+        while pending:
+            total = total + pending.popleft().result()
+            pending.extend(pool.submit(work, job) for job in islice(jobs, 1))
+    return total
 
 
 def _chunk_tallies(
@@ -360,25 +386,34 @@ def _chunk_tallies(
     size: int,
     seed: int,
     chunk_index: int,
-    with_possession: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
+    """(pairs, 4, 4) counts of (A code, B code) for one chunk of trials."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     axes, u_a, u_b = model.sampler(rng, size)
-    registered = np.zeros((len(direction_pairs), 3, 3), dtype=np.int64)
-    possession = np.zeros((len(direction_pairs), 2, 2), dtype=np.int64) if with_possession else None
+
+    def side_codes(cache, possess, detect, u, direction):
+        key = direction.tobytes()
+        if key not in cache:
+            positive = np.asarray(possess(axes, direction)) > 0
+            detected = np.asarray(detect(axes, u, direction), dtype=bool)
+            cache[key] = 2 * detected.view(np.uint8) + positive
+        return cache[key]
+
+    codes_a: dict[bytes, np.ndarray] = {}
+    codes_b: dict[bytes, np.ndarray] = {}
+    cells = np.empty((len(direction_pairs), 16), dtype=np.int64)
+    cell_index = np.empty(size, dtype=np.intp)
     for s_idx, (a_vec, b_vec) in enumerate(direction_pairs):
-        value_a = np.asarray(model.possess_a(axes, a_vec), dtype=np.int64)
-        value_b = np.asarray(model.possess_b(axes, b_vec), dtype=np.int64)
-        detect_a = model.detect_a(axes, u_a, a_vec)
-        detect_b = model.detect_b(axes, u_b, b_vec)
-        reg_a = np.where(detect_a, value_a, 0)
-        reg_b = np.where(detect_b, value_b, 0)
-        cells = (reg_a + 1) * 3 + (reg_b + 1)
-        registered[s_idx] = np.bincount(cells, minlength=9).reshape(3, 3)
-        if possession is not None:
-            cells = (value_a + 1) // 2 * 2 + (value_b + 1) // 2
-            possession[s_idx] = np.bincount(cells, minlength=4).reshape(2, 2)
-    return registered, possession
+        code_a = side_codes(codes_a, model.possess_a, model.detect_a, u_a, a_vec)
+        code_b = side_codes(codes_b, model.possess_b, model.detect_b, u_b, b_vec)
+        np.add(4 * code_a, code_b, out=cell_index)
+        cells[s_idx] = np.bincount(cell_index, minlength=16)
+    return cells.reshape(-1, 4, 4)
+
+
+def _registered(cells: np.ndarray) -> np.ndarray:
+    """(pairs, 3, 3) registered-outcome tallies from (pairs, 4, 4) code cells."""
+    return _CODE_TO_OUTCOME.T @ cells @ _CODE_TO_OUTCOME
 
 
 def _run_tallies(
@@ -387,8 +422,8 @@ def _run_tallies(
     n_trials: int,
     seed: int,
     n_workers: int,
-    with_possession: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
+    """(settings, 4, 4) code cells over all trials; see the module docstring."""
     if n_trials < 1:
         raise InputValidationError(f"n_trials must be positive, got {n_trials!r}")
     if int(seed) != seed or seed < 0:
@@ -398,21 +433,13 @@ def _run_tallies(
     if len(settings) == 0:
         raise InputValidationError("at least one setting is required")
     pairs = [(a.as_array(), b.as_array()) for a, b in settings]
-    sizes = _chunk_bounds(n_trials)
-    worker = partial(
-        _chunk_tallies, model, pairs, with_possession=with_possession, seed=int(seed)
-    )
-    jobs = [(size, index) for index, size in enumerate(sizes)]
-    if n_workers == 1 or len(jobs) == 1:
-        results = [worker(size, chunk_index=index) for size, index in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(
-                pool.map(lambda job: worker(job[0], chunk_index=job[1]), jobs)
-            )
-    registered = sum(reg for reg, _ in results)
-    possession = sum(pos for _, pos in results) if with_possession else None
-    return registered, possession
+
+    def chunk(job: tuple[int, int]) -> np.ndarray:
+        index, size = job
+        return _chunk_tallies(model, pairs, size, int(seed), index)
+
+    n_chunks = -(-n_trials // CHUNK_SIZE)
+    return _ordered_sum(chunk, enumerate(_chunk_sizes(n_trials)), min(n_workers, n_chunks))
 
 
 def run_experiment(
@@ -427,11 +454,11 @@ def run_experiment(
     The result is bit-identical for any n_workers; see the module docstring
     for the chunked substream scheme.
     """
-    registered, _ = _run_tallies(model, settings, n_trials, seed, n_workers, False)
+    cells = _run_tallies(model, settings, n_trials, seed, n_workers)
     return SimulationSummary(
         n_trials=n_trials,
         settings=tuple((a, b) for a, b in settings),
-        tallies=registered,
+        tallies=_registered(cells),
         seed=int(seed),
     )
 
@@ -493,6 +520,16 @@ class FairSamplingResult(NamedTuple):
     divergence: float
 
 
+def _fair_sampling(cells: np.ndarray, n_trials: int) -> FairSamplingResult:
+    """Fair-sampling frequencies of one pair's 4x4 code cells; the detected
+    frequency is NaN when no trial registered on both sides."""
+    # Codes 1 and 3 possess +1; codes 2 and 3 are detected.
+    all_sample = float(cells[1::2, 1::2].sum() / n_trials)
+    both_detected = int(cells[2:, 2:].sum())
+    detected = float(cells[3, 3] / both_detected) if both_detected else math.nan
+    return FairSamplingResult(all_sample, detected, abs(all_sample - detected))
+
+
 def fair_sampling_check(
     model: MicrostateModel,
     a: Direction,
@@ -507,16 +544,13 @@ def fair_sampling_check(
     A nonzero divergence is the signature of unfair sampling: the detected
     subensemble misrepresents the full one.
     """
-    registered, possession = _run_tallies(model, [(a, b)], n_trials, seed, n_workers, True)
-    assert possession is not None
-    all_sample = float(possession[0][1, 1] / n_trials)
-    both_detected = int(registered[0][np.ix_((0, 2), (0, 2))].sum())
-    if both_detected == 0:
+    cells = _run_tallies(model, [(a, b)], n_trials, seed, n_workers)
+    result = _fair_sampling(cells[0], n_trials)
+    if math.isnan(result.detected_freq):
         raise ZeroProbabilityError(
             "detected-pair frequency is undefined: no doubly registered trials"
         )
-    detected = float(registered[0][2, 2] / both_detected)
-    return FairSamplingResult(all_sample, detected, abs(all_sample - detected))
+    return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,14 +590,11 @@ def simulate_chsh(
     frequencies, so it should agree with the direct all-trials combination
     whenever the two sides' detections are independent.
     """
-    registered, possession = _run_tallies(
-        model, chsh_pairs(setting), n_trials, seed, n_workers, True
-    )
-    assert possession is not None
+    cells = _run_tallies(model, chsh_pairs(setting), n_trials, seed, n_workers)
     summary = SimulationSummary(
         n_trials=n_trials,
         settings=chsh_pairs(setting),
-        tallies=registered,
+        tallies=_registered(cells),
         seed=int(seed),
     )
     micro = tuple(summary.micro_correlation(i) for i in range(4))
@@ -572,16 +603,7 @@ def simulate_chsh(
     cond_se = tuple(summary.conditional_correlation_se(i) for i in range(4))
     freq_a = tuple(summary.detection_frequency(i, "a") for i in range(4))
     freq_b = tuple(summary.detection_frequency(i, "b") for i in range(4))
-    all_freq = []
-    det_freq = []
-    gaps = []
-    for i in range(4):
-        full = float(possession[i][1, 1] / n_trials)
-        both = int(registered[i][np.ix_((0, 2), (0, 2))].sum())
-        part = float(registered[i][2, 2] / both) if both else float("nan")
-        all_freq.append(full)
-        det_freq.append(part)
-        gaps.append(abs(full - part))
+    all_freq, det_freq, gaps = zip(*(_fair_sampling(c, n_trials) for c in cells))
     micro_value, micro_error = summary_chsh(summary, conditional=False)
     cond_value, cond_error = summary_chsh(summary, conditional=True)
 
@@ -616,9 +638,9 @@ def simulate_chsh(
         conditional_correlation_errors=cond_se,
         detection_frequencies_a=freq_a,
         detection_frequencies_b=freq_b,
-        all_sample_pair_frequencies=tuple(all_freq),
-        detected_pair_frequencies=tuple(det_freq),
-        divergences=tuple(gaps),
+        all_sample_pair_frequencies=all_freq,
+        detected_pair_frequencies=det_freq,
+        divergences=gaps,
         micro_chsh=micro_value,
         micro_chsh_error=micro_error,
         conditional_chsh=cond_value,

@@ -120,6 +120,14 @@ class TestStandardLhs:
         with pytest.raises(InputValidationError):
             standard_chsh_lhs(1.5, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, position, value):
+        values = [0.0] * 4
+        values[position] = value
+        with pytest.raises(InputValidationError):
+            standard_chsh_lhs(*values)
+
 
 class TestModifiedLhs:
     def test_unit_detection_reduces_to_standard(self):

@@ -16,7 +16,6 @@ from belltally import (
     DetectionModel,
     Direction,
     GeneralizedObservable,
-    HiddenVariable,
     InputValidationError,
     MicrostateEnsemble,
     MicrostateModel,
@@ -43,6 +42,7 @@ from belltally import (
     summary_chsh,
 )
 
+from belltally import lhv
 from conftest import random_direction
 
 
@@ -62,13 +62,14 @@ def _always_detect(axes, u, direction):
     return np.ones(len(u), dtype=bool)
 
 
-class TestHiddenVariable:
-    def test_auxiliary_range(self):
-        HiddenVariable(Z_AXIS, 0.0, 0.999)
-        with pytest.raises(InputValidationError):
-            HiddenVariable(Z_AXIS, 1.0, 0.5)
-        with pytest.raises(InputValidationError):
-            HiddenVariable(Z_AXIS, 0.5, -0.1)
+def registered_outcome(model, side, axis, u, direction):
+    """Registered outcome in {-1, 0, +1} of one microstate, from a side's
+    batch callables on one-row arrays."""
+    possess = getattr(model, f"possess_{side}")
+    detect = getattr(model, f"detect_{side}")
+    axes = axis.as_array()[None, :]
+    value = int(possess(axes, direction.as_array())[0])
+    return value if detect(axes, np.array([u]), direction.as_array())[0] else 0
 
 
 class TestSampler:
@@ -155,10 +156,9 @@ class TestMicroObservableExpectation:
 class TestGisinGisinModel:
     def test_scalar_responses(self):
         model = gisin_gisin_model()
-        h = HiddenVariable(Z_AXIS, 0.3, 0.9)
-        assert model.respond_a(h, Z_AXIS) == 1  # aligned, 0.3 < 1
-        assert model.respond_a(h, X_AXIS) == 0  # orthogonal, never detected
-        assert model.respond_b(h, Z_AXIS) == -1  # B always registers
+        assert registered_outcome(model, "a", Z_AXIS, 0.3, Z_AXIS) == 1  # aligned, 0.3 < 1
+        assert registered_outcome(model, "a", Z_AXIS, 0.3, X_AXIS) == 0  # orthogonal, never detected
+        assert registered_outcome(model, "b", Z_AXIS, 0.9, Z_AXIS) == -1  # B always registers
 
     def test_b_side_always_registers(self):
         summary = run_experiment(gisin_gisin_model(), [(plane(20.0), plane(70.0))], 50000, 2)
@@ -236,13 +236,13 @@ class TestLocality:
         axes, u_a, u_b = sample_hidden_uniform(rng, 10)
         for model in models:
             for i in range(10):
-                h = HiddenVariable(Direction(*axes[i]), float(u_a[i]), float(u_b[i]))
+                axis = Direction(*axes[i])
                 a = random_direction(rng)
-                before = model.respond_a(h, a)
+                before = registered_outcome(model, "a", axis, u_a[i], a)
                 for _ in range(5):
-                    model.respond_b(h, random_direction(rng))
-                assert model.respond_a(h, a) == before
-                assert model.respond_a(h, a) in (-1, 0, 1)
+                    registered_outcome(model, "b", axis, u_b[i], random_direction(rng))
+                assert registered_outcome(model, "a", axis, u_a[i], a) == before
+                assert registered_outcome(model, "a", axis, u_a[i], a) in (-1, 0, 1)
 
 
 class TestRunExperiment:
@@ -307,6 +307,133 @@ class TestRunExperiment:
         summary = run_experiment(model, [(Z_AXIS, Z_AXIS)], 100, 1)
         with pytest.raises(ZeroProbabilityError):
             summary.conditional_correlation(0)
+
+
+def _reference_tallies(model, direction_pairs, size, seed, chunk_index):
+    """Per-pair loop: registered values via np.where, then separate 9-bin
+    registered and 4-bin possession bincounts."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+    axes, u_a, u_b = model.sampler(rng, size)
+    registered = np.zeros((len(direction_pairs), 3, 3), dtype=np.int64)
+    possession = np.zeros((len(direction_pairs), 2, 2), dtype=np.int64)
+    for s_idx, (a_vec, b_vec) in enumerate(direction_pairs):
+        value_a = np.asarray(model.possess_a(axes, a_vec), dtype=np.int64)
+        value_b = np.asarray(model.possess_b(axes, b_vec), dtype=np.int64)
+        reg_a = np.where(model.detect_a(axes, u_a, a_vec), value_a, 0)
+        reg_b = np.where(model.detect_b(axes, u_b, b_vec), value_b, 0)
+        cells = (reg_a + 1) * 3 + (reg_b + 1)
+        registered[s_idx] = np.bincount(cells, minlength=9).reshape(3, 3)
+        cells = (value_a + 1) // 2 * 2 + (value_b + 1) // 2
+        possession[s_idx] = np.bincount(cells, minlength=4).reshape(2, 2)
+    return registered, possession
+
+
+def _int_model():
+    """Custom model whose possession is int64 and whose detection is a
+    non-bool 0/1 array."""
+
+    def possess(axes, direction):
+        return np.where(axes @ direction >= 0.25, 1, -1).astype(np.int64)
+
+    def detect(axes, u, direction):
+        return (u < 0.4 + 0.5 * np.abs(axes @ direction)).astype(np.int32)
+
+    return MicrostateModel("int", possess, possess, detect, detect)
+
+
+def _counting(model):
+    """The model with every response callable counting its calls."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+
+        return wrapper
+
+    wrapped = MicrostateModel(
+        model.name,
+        counted(model.possess_a),
+        counted(model.possess_b),
+        counted(model.detect_a),
+        counted(model.detect_b),
+        model.sampler,
+    )
+    return wrapped, calls
+
+
+def _pair_sets():
+    rng = np.random.default_rng(71)
+    random_setting = ChshSetting(*(random_direction(rng) for _ in range(4)))
+    distinct = [(random_direction(rng), random_direction(rng)) for _ in range(4)]
+    # (pairs, distinct directions per side)
+    return {
+        "chsh-tsirelson": (chsh_pairs(ChshSetting.tsirelson()), 2),
+        "chsh-random": (chsh_pairs(random_setting), 2),
+        "distinct": (tuple(distinct), 4),
+    }
+
+
+class TestChunkTallies:
+    @pytest.mark.parametrize(
+        "factory",
+        [gisin_gisin_model, sign_model, constant_model, lambda: random_microstate_model(3), _int_model],
+        ids=["gisin-gisin", "sign", "constant", "random-3", "int"],
+    )
+    @pytest.mark.parametrize("size", [lhv.CHUNK_SIZE, 1234])
+    @pytest.mark.parametrize("pair_set", ["chsh-tsirelson", "chsh-random", "distinct"])
+    def test_fused_cells_match_per_pair_reference(self, factory, size, pair_set):
+        settings, directions_per_side = _pair_sets()[pair_set]
+        pairs = [(a.as_array(), b.as_array()) for a, b in settings]
+        model, calls = _counting(factory())
+        cells = lhv._chunk_tallies(model, pairs, size, 5, 3)
+        # each side's possess and detect run once per distinct direction
+        assert len(calls) == 4 * directions_per_side
+        registered, possession = _reference_tallies(factory(), pairs, size, 5, 3)
+        assert cells.shape == (len(pairs), 4, 4)
+        np.testing.assert_array_equal(lhv._registered(cells), registered)
+        # code = 2 * detected + positive, so axes 2 and 4 are the possessed signs
+        np.testing.assert_array_equal(cells.reshape(-1, 2, 2, 2, 2).sum(axis=(1, 3)), possession)
+        assert cells.sum() == len(pairs) * size
+
+
+class _Merged:
+    """Work result that counts how many results the fold has added."""
+
+    def __init__(self, value, log):
+        self.value = value
+        self.log = log
+
+    def __radd__(self, total):
+        self.log["merged"] += 1
+        return total + self.value
+
+
+class TestOrderedSum:
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_bounded_in_flight_and_exact(self, n_workers):
+        log = {"merged": 0, "ahead": 0}
+
+        def jobs():
+            for index in range(1000):
+                log["ahead"] = max(log["ahead"], index - log["merged"])
+                yield index
+
+        total = lhv._ordered_sum(lambda job: _Merged(job * job, log), jobs(), n_workers)
+        assert total == sum(i * i for i in range(1000))
+        assert log["merged"] == 1000
+        # a job is pulled only while fewer than 2 * n_workers are unmerged
+        assert log["ahead"] < 2 * n_workers
+
+    def test_worker_error_propagates(self):
+        def work(job):
+            if job == 7:
+                raise ZeroProbabilityError("boom")
+            return job
+
+        with pytest.raises(ZeroProbabilityError):
+            lhv._ordered_sum(work, range(100), 2)
 
 
 class TestSummaryChsh:
