@@ -20,7 +20,7 @@ angles.
 Angle grids are coplanar (x-z plane) quadruples.  Grid extrema exploit the
 separability of the two absolute-value terms: the first depends on (a, b, b')
 only and the second on (a', b, b'), so the maximum over the full four-angle
-grid is found from two running maxima in O(N^3) operations.
+grid adds each term's maximum over its first angle, in O(N^3) operations.
 """
 
 from __future__ import annotations
@@ -230,26 +230,33 @@ def _grid_angles_deg(grid_step_deg: float) -> np.ndarray:
     return np.arange(0.0, 360.0 - 1e-9, grid_step_deg)
 
 
-def _separable_grid_max(row_minus, row_plus, n: int) -> tuple[tuple[int, int, int, int], float]:
-    # row_minus(a)[j, k] and row_plus(a')[j, k] are produced one row index at
-    # a time; the two terms share only (j, k), so maximize each over its row
-    # index first, then jointly over (j, k).  Memory stays O(n^2).
-    best_minus = np.full((n, n), -np.inf)
-    best_plus = np.full((n, n), -np.inf)
-    arg_minus = np.zeros((n, n), dtype=np.intp)
-    arg_plus = np.zeros((n, n), dtype=np.intp)
-    for i in range(n):
-        row = row_minus(i)
-        mask = row > best_minus
-        best_minus[mask] = row[mask]
-        arg_minus[mask] = i
-        row = row_plus(i)
-        mask = row > best_plus
-        best_plus[mask] = row[mask]
-        arg_plus[mask] = i
-    total = best_minus + best_plus
-    j, k = np.unravel_index(int(np.argmax(total)), total.shape)
-    return (int(arg_minus[j, k]), int(arg_plus[j, k]), int(j), int(k)), float(total[j, k])
+def _grid_max(
+    left: np.ndarray, right: np.ndarray, pa: float, pap: float
+) -> tuple[tuple[int, int, int, int], float]:
+    # Max over (i, i', j, k) of pa|left[i, j] - right[i, k]| +
+    # pap|left[i', j] + right[i', k]|, at the first (j, k) in row-major order
+    # and the first i and i' for it.  The terms share only (j, k), so each
+    # column j maximizes both over their row index for every k at once.
+    # pa * max|d| equals max|pa * d| exactly: rounding is monotone for pa >= 0.
+    # When left equals right both terms are symmetric in (j, k) and the first
+    # row-major maximizer has j <= k, so only k >= j is evaluated.  One scratch
+    # array serves every column, since a fresh n x n temporary per column is
+    # page-faulted anew each time.
+    symmetric = np.array_equal(left, right)
+    scratch = np.empty(right.shape)
+    best, where = -np.inf, (0, 0)
+    for j in range(left.shape[1]):
+        k0 = j if symmetric else 0
+        x, ys, d = left[:, j, None], right[:, k0:], scratch[:, k0:]
+        total = pa * np.abs(np.subtract(x, ys, out=d), out=d).max(axis=0)
+        total += pap * np.abs(np.add(x, ys, out=d), out=d).max(axis=0)
+        k = int(np.argmax(total))
+        if total[k] > best:
+            best, where = total[k], (j, k0 + k)
+    j, k = where
+    i = int(np.argmax(pa * np.abs(left[:, j] - right[:, k])))
+    i_prime = int(np.argmax(pap * np.abs(left[:, j] + right[:, k])))
+    return (i, i_prime, j, k), float(best)
 
 
 def _correlation_tensor(state: DensityState) -> np.ndarray:
@@ -286,17 +293,8 @@ def _lhs_grid_max(
     components = _plane_components(np.radians(angles_deg))
     corr = _correlations(_plane_block(state), components, components)
     pa, pap, pb, pbp = weights
-    n = len(angles_deg)
-    scaled_b = pb * corr
-    scaled_bp = pbp * corr
-
-    def row_minus(i: int) -> np.ndarray:
-        return np.abs(pa * (scaled_b[i][:, None] - scaled_bp[i][None, :]))
-
-    def row_plus(i: int) -> np.ndarray:
-        return np.abs(pap * (scaled_b[i][:, None] + scaled_bp[i][None, :]))
-
-    (ia, iap, ib, ibp), value = _separable_grid_max(row_minus, row_plus, n)
+    # min_detection_bound runs through the same _grid_max.
+    (ia, iap, ib, ibp), value = _grid_max(pb * corr, pbp * corr, pa, pap)
     setting = ChshSetting.from_plane_angles(
         angles_deg[ia], angles_deg[iap], angles_deg[ib], angles_deg[ibp]
     )
@@ -336,23 +334,17 @@ def modified_lhs_grid_max(
 def min_detection_bound(grid_step_deg: float = 1.0) -> float:
     """Global minimum of detection_bound over the coplanar angle grid.
 
-    The separable maximum of the bound's denominator over all four grid
-    angles gives it in O(N^3) operations.  The denominator depends only on
-    angle differences, so fixing the first angle would give the same value
-    in exact arithmetic, but not in floating point: the result would move
-    by 1-2 ulp on most grids.
+    The bound's denominator |a.b - a.b'| + |a'.b + a'.b'| is maximized over
+    all four grid angles by _grid_max, the kernel the functional grid maxima
+    share, with a.b = cos(angle a - angle b).  That matrix is symmetric, so
+    only b' >= b is evaluated: O(N^3 / 2) operations.  The denominator
+    depends only on angle differences, so fixing the first angle would give
+    the same value in exact arithmetic, but not in floating point: the
+    result would move by 1-2 ulp on most grids.
     """
     angles = np.radians(_grid_angles_deg(grid_step_deg))
     cosines = np.cos(angles[:, None] - angles[None, :])
-    n = len(angles)
-
-    def row_minus(i: int) -> np.ndarray:
-        return np.abs(cosines[i][:, None] - cosines[i][None, :])
-
-    def row_plus(i: int) -> np.ndarray:
-        return np.abs(cosines[i][:, None] + cosines[i][None, :])
-
-    _, denominator = _separable_grid_max(row_minus, row_plus, n)
+    _, denominator = _grid_max(cosines, cosines, 1.0, 1.0)
     if denominator <= ALGEBRA_TOL:
         return 1.0
     return min(1.0, math.sqrt(2.0 / denominator))

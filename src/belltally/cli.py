@@ -528,6 +528,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BelltallyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A grid step too fine for memory; numpy's message names the size.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream consumer closed the pipe; silence the shutdown flush.
         devnull = os.open(os.devnull, os.O_WRONLY)

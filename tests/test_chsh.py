@@ -1,8 +1,9 @@
 """Tests for the standard and detection-weighted CHSH functionals.
 
-The grid extremum functions use a separable two-pass reduction, so the key
-oracle here is a literal four-way loop over a coarse angle grid built from
-independently computed correlations.
+The grid extremum functions use a separable reduction, so the key oracles
+here are a literal four-way maximum over a coarse angle grid built from
+independently computed correlations, and a row-by-row reference reduction
+that the array kernel must match exactly, indices included.
 """
 import dataclasses
 import math
@@ -34,7 +35,13 @@ from belltally import (
     standard_lhs_grid_max,
     quantum_expectation_product,
 )
-
+from belltally.chsh import (
+    _correlations,
+    _grid_angles_deg,
+    _grid_max,
+    _plane_block,
+    _plane_components,
+)
 from conftest import random_density_state, random_direction
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -55,6 +62,31 @@ def brute_force_grid_max(corr: np.ndarray, weights=(1.0, 1.0, 1.0, 1.0)) -> floa
     term_minus = np.abs(pa * (pb * corr[:, None, :, None] - pbp * corr[:, None, None, :]))
     term_plus = np.abs(pap * (pb * corr[None, :, :, None] + pbp * corr[None, :, None, :]))
     return float((term_minus + term_plus).max())
+
+
+def row_loop_grid_max(left: np.ndarray, right: np.ndarray, pa: float, pap: float):
+    """Reference for _grid_max: the row-by-row running maxima it replaced.
+
+    Each row index i updates both terms' running maxima, and their argmax, on
+    strict improvement; (j, k) is then the first maximizer of the sum.
+    """
+    n = left.shape[1]
+    best_minus = np.full((n, n), -np.inf)
+    best_plus = np.full((n, n), -np.inf)
+    arg_minus = np.zeros((n, n), dtype=np.intp)
+    arg_plus = np.zeros((n, n), dtype=np.intp)
+    for i in range(left.shape[0]):
+        row = np.abs(pa * (left[i][:, None] - right[i][None, :]))
+        mask = row > best_minus
+        best_minus[mask] = row[mask]
+        arg_minus[mask] = i
+        row = np.abs(pap * (left[i][:, None] + right[i][None, :]))
+        mask = row > best_plus
+        best_plus[mask] = row[mask]
+        arg_plus[mask] = i
+    total = best_minus + best_plus
+    j, k = np.unravel_index(int(np.argmax(total)), total.shape)
+    return (int(arg_minus[j, k]), int(arg_plus[j, k]), int(j), int(k)), float(total[j, k])
 
 
 class TestChshSetting:
@@ -241,6 +273,28 @@ class TestDetectionBound:
         # minimizing quadruple
         assert min_detection_bound(5.0) == pytest.approx(QUARTER_ROOT, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "step, expected",
+        [
+            (0.75, 0.8408964152537144),
+            (1.0, 0.8408964152537144),
+            (2.0, 0.84096045886793),
+            (3.3, 0.8409279791074584),
+            (5.0, 0.8408964152537144),
+            (7.5, 0.8408964152537144),
+            (13.0, 0.8419522980629391),
+            (15.0, 0.8408964152537144),
+            (30.0, 0.8555996771673521),
+            (45.0, 0.8408964152537145),
+            (60.0, 0.8944271909999157),
+            (90.0, 1.0),
+        ],
+    )
+    def test_grid_minimum_to_the_bit(self, step, expected):
+        """Maximizing over all four angles fixes these floats; fixing the first
+        angle would move several of them by 1-2 ulp."""
+        assert min_detection_bound(step) == expected
+
     def test_invalid_grid_step(self):
         with pytest.raises(InputValidationError):
             min_detection_bound(0.0)
@@ -252,7 +306,7 @@ class TestGridMax:
         angles = np.arange(0.0, 360.0, 30.0)
         corr = plane_correlations(singlet_state(), angles)
         setting, value = standard_lhs_grid_max(singlet_state(), 30.0)
-        assert value == pytest.approx(brute_force_grid_max(corr), abs=1e-10)
+        assert value == brute_force_grid_max(corr)
         achieved = standard_chsh_lhs(*conditional_expectations(singlet_state(), setting))
         assert achieved == pytest.approx(value, abs=1e-10)
 
@@ -262,7 +316,7 @@ class TestGridMax:
         angles = np.arange(0.0, 360.0, 30.0)
         corr = plane_correlations(state, angles)
         _, value = standard_lhs_grid_max(state, 30.0)
-        assert value == pytest.approx(brute_force_grid_max(corr), abs=1e-10)
+        assert value == brute_force_grid_max(corr)
 
     def test_weighted_matches_brute_force(self):
         rng = np.random.default_rng(103)
@@ -271,7 +325,41 @@ class TestGridMax:
         angles = np.arange(0.0, 360.0, 30.0)
         corr = plane_correlations(state, angles)
         _, value = modified_lhs_grid_max(state, weights, 30.0)
-        assert value == pytest.approx(brute_force_grid_max(corr, weights), abs=1e-10)
+        assert value == brute_force_grid_max(corr, weights)
+
+    # The reference loop takes about 0.5 s per call at 1 degree, so that grid
+    # runs only the cosine matrix min_detection_bound passes.  An integer
+    # matrix is the seed of a random state.
+    @pytest.mark.parametrize(
+        "matrix, step",
+        [("cosine", 1.0)]
+        + [(m, s) for s in (5.0, 7.0, 13.0) for m in ("cosine", "singlet", 211, 212)],
+    )
+    def test_kernel_matches_row_loop_reference(self, matrix, step):
+        """Value and all four indices equal the row-loop reduction's, bit for
+        bit, including weights that tie every total, or one term, at 0."""
+        angles = np.radians(_grid_angles_deg(step))
+        if matrix == "cosine":
+            corr = np.cos(angles[:, None] - angles[None, :])
+        else:
+            if matrix == "singlet":
+                state = singlet_state()
+            else:
+                state = random_density_state(np.random.default_rng(matrix))
+            components = _plane_components(angles)
+            corr = _correlations(_plane_block(state), components, components)
+        unequal = tuple(np.random.default_rng(223).uniform(0.2, 1.0, size=4))
+        for pa, pap, pb, pbp in [
+            (1.0, 1.0, 1.0, 1.0),
+            (0.9, 0.9, 0.9, 0.9),
+            unequal,
+            (0.8, 0.35, 0.6, 0.6),
+            (0.5, 0.5, 0.0, 0.0),
+            (0.0, 0.6, 0.7, 0.4),
+            (0.6, 0.0, 0.7, 0.4),
+        ]:
+            left, right = pb * corr, pbp * corr
+            assert _grid_max(left, right, pa, pap) == row_loop_grid_max(left, right, pa, pap)
 
     def test_singlet_fine_grid_reaches_tsirelson(self):
         _, value = standard_lhs_grid_max(singlet_state(), 5.0)

@@ -427,6 +427,10 @@ class TestErrors:
                 ["scan", "--grid-step", "90", "--format", "json"],
                 {"state": [[float("nan"), 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
             ),
+            # 3.6e6 grid angles: the n x n arrays need ~94 TiB, which the
+            # allocator refuses at once.
+            (["bound", "--grid-step", "0.0001"], None),
+            (["scan", "--grid-step", "0.0001"], None),
         ],
         ids=[
             "nan-angle",
@@ -436,6 +440,8 @@ class TestErrors:
             "config-angle-text",
             "config-detection-null",
             "config-nan-state",
+            "bound-grid-too-fine",
+            "scan-grid-too-fine",
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, tmp_path, argv, config):
