@@ -20,10 +20,12 @@ any trial count.
 
 Tally scheme
 ------------
-Within a chunk each side evaluates its possession and detection callables
-once per distinct direction and encodes every trial as a 2-bit code,
-2 * detected + (possessed value > 0).  Each pair is then one 16-bin
-bincount over (A code, B code); the 3x3 registered-outcome tally and the
+A chunk is sampled once, then evaluated in row blocks of 16384 trials
+whose temporaries the allocator reuses.  Within a block each side evaluates
+its possession and detection callables once per distinct direction and
+encodes every trial as a 2-bit code, 2 * detected + (possessed value > 0).
+Each pair then adds one 16-bin bincount over (A code, B code) per block
+into the chunk's integer cells; the 3x3 registered-outcome tally and the
 2x2 possession tally are both sums over those 16 cells.
 
 The reference detection-loophole model (``gisin_gisin_model``) registers
@@ -35,6 +37,7 @@ correlation -a.b while only half of the A-side trials register.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,6 +52,7 @@ from .errors import InputValidationError, ZeroProbabilityError
 from .quantum import ALGEBRA_TOL, Direction
 
 CHUNK_SIZE = 1 << 16
+_BLOCK = 1 << 14  # rows per block: temporaries are reused, not page-faulted anew
 
 # Per-correlation pair names for a CHSH run, in tally order.
 PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
@@ -56,9 +60,10 @@ PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 # respond = possess * detect, evaluated on batches:
 #   possess(axes (n,3), direction (3,)) -> (n,) values in {-1, +1}
 #   detect(axes (n,3), u (n,), direction (3,)) -> (n,) booleans (or 0/1)
-# Each callable runs once per chunk for every distinct direction of its
-# side, however many pairs share that direction; its results are folded
-# into the 16 (A code, B code) cells described in the module docstring.
+# Each callable runs once per row block for every distinct direction of
+# its side, however many pairs share that direction, so it must be row-wise
+# (as chunking already requires); its results are folded into the 16
+# (A code, B code) cells described in the module docstring.
 PossessFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 DetectFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 SamplerFn = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -77,17 +82,19 @@ def sample_hidden_uniform(
     """lam uniform on the sphere (area-preserving map), u_a and u_b uniform.
 
     Draw order is fixed (z, azimuth, u_a, u_b per trial) so samples are a
-    pure function of the generator state.
+    pure function of the generator state; filling axes in row blocks keeps it.
     """
     draws = rng.random((count, 4))
     axes = np.empty((count, 3))
-    z = axes[:, 2]
-    np.multiply(2.0, draws[:, 0], out=z)
-    z -= 1.0
-    azimuth = 2.0 * math.pi * draws[:, 1]
-    radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    np.multiply(radial, np.cos(azimuth), out=axes[:, 0])
-    np.multiply(radial, np.sin(azimuth), out=axes[:, 1])
+    for start in range(0, count, _BLOCK):
+        block, out = draws[start : start + _BLOCK], axes[start : start + _BLOCK]
+        z = out[:, 2]
+        np.multiply(2.0, block[:, 0], out=z)
+        z -= 1.0
+        azimuth = 2.0 * math.pi * block[:, 1]
+        radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        np.multiply(radial, np.cos(azimuth), out=out[:, 0])
+        np.multiply(radial, np.sin(azimuth), out=out[:, 1])
     return axes, draws[:, 2], draws[:, 3]
 
 
@@ -391,7 +398,7 @@ def _chunk_tallies(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     axes, u_a, u_b = model.sampler(rng, size)
 
-    def side_codes(cache, possess, detect, u, direction):
+    def side_codes(cache, possess, detect, axes, u, direction):
         key = direction.tobytes()
         if key not in cache:
             positive = np.asarray(possess(axes, direction)) > 0
@@ -399,15 +406,19 @@ def _chunk_tallies(
             cache[key] = 2 * detected.view(np.uint8) + positive
         return cache[key]
 
-    codes_a: dict[bytes, np.ndarray] = {}
-    codes_b: dict[bytes, np.ndarray] = {}
-    cells = np.empty((len(direction_pairs), 16), dtype=np.int64)
-    cell_index = np.empty(size, dtype=np.intp)
-    for s_idx, (a_vec, b_vec) in enumerate(direction_pairs):
-        code_a = side_codes(codes_a, model.possess_a, model.detect_a, u_a, a_vec)
-        code_b = side_codes(codes_b, model.possess_b, model.detect_b, u_b, b_vec)
-        np.add(4 * code_a, code_b, out=cell_index)
-        cells[s_idx] = np.bincount(cell_index, minlength=16)
+    cells = np.zeros((len(direction_pairs), 16), dtype=np.int64)
+    index_buffer = np.empty(min(size, _BLOCK), dtype=np.intp)
+    for start in range(0, size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block, block_u_a, block_u_b = axes[rows], u_a[rows], u_b[rows]
+        codes_a: dict[bytes, np.ndarray] = {}
+        codes_b: dict[bytes, np.ndarray] = {}
+        cell_index = index_buffer[: len(block)]
+        for s_idx, (a_vec, b_vec) in enumerate(direction_pairs):
+            code_a = side_codes(codes_a, model.possess_a, model.detect_a, block, block_u_a, a_vec)
+            code_b = side_codes(codes_b, model.possess_b, model.detect_b, block, block_u_b, b_vec)
+            np.add(4 * code_a, code_b, out=cell_index)
+            cells[s_idx] += np.bincount(cell_index, minlength=16)
     return cells.reshape(-1, 4, 4)
 
 
@@ -439,7 +450,10 @@ def _run_tallies(
         return _chunk_tallies(model, pairs, size, int(seed), index)
 
     n_chunks = -(-n_trials // CHUNK_SIZE)
-    return _ordered_sum(chunk, enumerate(_chunk_sizes(n_trials)), min(n_workers, n_chunks))
+    # A worker beyond the usable CPUs would only hold one more chunk in memory.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(n_workers, n_chunks, cpus or 1)
+    return _ordered_sum(chunk, enumerate(_chunk_sizes(n_trials)), n_workers)
 
 
 def run_experiment(

@@ -40,6 +40,31 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+needs_wait4 = pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+
+# Starts one child with stdout to /dev/null and prints its exit code and
+# peak RSS, so the test runner's own memory is not counted.
+_PEAK_LAUNCHER = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,"
+    " file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def peak_rss(*argv):
+    """Peak RSS in bytes of `python *argv` with this checkout's package."""
+    src = os.path.dirname(os.path.dirname(belltally.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_LAUNCHER, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    code, maxrss = map(int, result.stdout.split())
+    assert code == 0
+    return maxrss * (1 if sys.platform == "darwin" else 1024)
+
+
 def csv_rows(text):
     return list(csv.reader(io.StringIO(text)))
 
@@ -168,32 +193,12 @@ class TestScan:
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
-    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    @needs_wait4
     def test_json_scan_memory_stays_near_a_bare_import(self):
         """A 30-degree JSON scan (20,736 rows) peaks within 8 MB of importing
-        the CLI, because rows stream out by block.  A launcher process reads
-        each child's peak RSS, so the test runner's memory is not counted."""
-        launcher = (
-            "import os, sys\n"
-            "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,"
-            " file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])\n"
-            "_, status, usage = os.wait4(pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-        )
-        src = os.path.dirname(os.path.dirname(belltally.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-
-        def peak(*argv):
-            result = subprocess.run(
-                [sys.executable, "-c", launcher, *argv],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            code, maxrss = map(int, result.stdout.split())
-            assert code == 0
-            return maxrss * (1 if sys.platform == "darwin" else 1024)
-
-        bare = peak("-c", "import belltally.cli")
-        scan = peak("-m", "belltally", "scan", "--grid-step", "30", "--format", "json")
+        the CLI, because rows stream out by block."""
+        bare = peak_rss("-c", "import belltally.cli")
+        scan = peak_rss("-m", "belltally", "scan", "--grid-step", "30", "--format", "json")
         assert scan - bare <= 8 * 2**20
 
     def test_rejects_unphysical_detection(self, capsys):
@@ -238,6 +243,19 @@ class TestSimulate:
         _, serial, _ = run_cli(capsys, *base, "1")
         _, threaded, _ = run_cli(capsys, *base, "2")
         assert serial == threaded
+
+    @needs_wait4
+    def test_memory_does_not_grow_with_trials(self):
+        """Peak RSS of a 2-worker run is the same at 200,000 and 2,000,000
+        trials and stays near a bare import: chunks are folded as they
+        finish and evaluated in blocks whose temporaries are reused."""
+        bare = peak_rss("-c", "import belltally.cli")
+        small, large = (
+            peak_rss("-m", "belltally", "simulate", "--workers", "2", "--trials", trials)
+            for trials in ("200000", "2000000")
+        )
+        assert abs(large - small) <= 2 * 2**20
+        assert max(small, large) - bare <= 16 * 2**20
 
     def test_gisin_gisin_headline_numbers(self, capsys):
         code, out, _ = run_cli(

@@ -7,6 +7,7 @@ The sphere closed forms used as oracles: a sign-sign correlation of
 E[|a.lam|] of one half.
 """
 import math
+import os
 
 import numpy as np
 import pytest
@@ -72,7 +73,33 @@ def registered_outcome(model, side, axis, u, direction):
     return value if detect(axes, np.array([u]), direction.as_array())[0] else 0
 
 
+def _whole_array_sampler(rng, count):
+    """Reference for the row-blocked sampler: the same float operations on
+    whole arrays."""
+    draws = rng.random((count, 4))
+    axes = np.empty((count, 3))
+    z = axes[:, 2]
+    np.multiply(2.0, draws[:, 0], out=z)
+    z -= 1.0
+    azimuth = 2.0 * math.pi * draws[:, 1]
+    radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    np.multiply(radial, np.cos(azimuth), out=axes[:, 0])
+    np.multiply(radial, np.sin(azimuth), out=axes[:, 1])
+    return axes, draws[:, 2], draws[:, 3]
+
+
 class TestSampler:
+    @pytest.mark.parametrize(
+        "count", [1, lhv._BLOCK - 1, lhv._BLOCK, lhv._BLOCK + 1, 40000, lhv.CHUNK_SIZE]
+    )
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_blocks_match_whole_array_reference(self, count, seed):
+        blocked = sample_hidden_uniform(np.random.default_rng(seed), count)
+        whole = _whole_array_sampler(np.random.default_rng(seed), count)
+        for got, want in zip(blocked, whole, strict=True):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
     def test_shapes_and_ranges(self):
         rng = np.random.default_rng(5)
         axes, u_a, u_b = sample_hidden_uniform(rng, 1000)
@@ -381,15 +408,15 @@ class TestChunkTallies:
         [gisin_gisin_model, sign_model, constant_model, lambda: random_microstate_model(3), _int_model],
         ids=["gisin-gisin", "sign", "constant", "random-3", "int"],
     )
-    @pytest.mark.parametrize("size", [lhv.CHUNK_SIZE, 1234])
+    @pytest.mark.parametrize("size", [lhv.CHUNK_SIZE, 1234, lhv._BLOCK + 1, 1])
     @pytest.mark.parametrize("pair_set", ["chsh-tsirelson", "chsh-random", "distinct"])
     def test_fused_cells_match_per_pair_reference(self, factory, size, pair_set):
         settings, directions_per_side = _pair_sets()[pair_set]
         pairs = [(a.as_array(), b.as_array()) for a, b in settings]
         model, calls = _counting(factory())
         cells = lhv._chunk_tallies(model, pairs, size, 5, 3)
-        # each side's possess and detect run once per distinct direction
-        assert len(calls) == 4 * directions_per_side
+        # each side's possess and detect run once per distinct direction per block
+        assert len(calls) == 4 * directions_per_side * math.ceil(size / lhv._BLOCK)
         registered, possession = _reference_tallies(factory(), pairs, size, 5, 3)
         assert cells.shape == (len(pairs), 4, 4)
         np.testing.assert_array_equal(lhv._registered(cells), registered)
@@ -434,6 +461,40 @@ class TestOrderedSum:
 
         with pytest.raises(ZeroProbabilityError):
             lhv._ordered_sum(work, range(100), 2)
+
+
+class TestWorkerCap:
+    """The fold gets min(workers, chunks, usable CPUs); the fold is replaced
+    by a recorder that runs the jobs serially, so no thread is started."""
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, n_chunks, n_workers, expected",
+        [
+            ({0, 1, 2}, 8, 5, 5000, 3),
+            ({0, 1, 2}, 8, 2, 5000, 2),
+            ({0, 1, 2}, 8, 5, 2, 2),
+            (None, 4, 5, 5000, 4),
+            (None, None, 5, 5000, 1),
+        ],
+    )
+    def test_workers_capped(self, monkeypatch, affinity, cpu_count, n_chunks, n_workers, expected):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        counts = []
+        ordered_sum = lhv._ordered_sum
+
+        def record(work, jobs, workers):
+            counts.append(workers)
+            return ordered_sum(work, jobs, 1)
+
+        monkeypatch.setattr(lhv, "_ordered_sum", record)
+        n_trials = (n_chunks - 1) * lhv.CHUNK_SIZE + 1
+        summary = run_experiment(sign_model(), [(Z_AXIS, X_AXIS)], n_trials, 4, n_workers)
+        assert counts == [expected]
+        assert summary.n_trials == n_trials
 
 
 class TestSummaryChsh:
