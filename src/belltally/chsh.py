@@ -21,6 +21,7 @@ Angle grids are coplanar (x-z plane) quadruples.  Grid extrema exploit the
 separability of the two absolute-value terms: the first depends on (a, b, b')
 only and the second on (a', b, b'), so the maximum over the full four-angle
 grid adds each term's maximum over its first angle, in O(N^3) operations.
+The detection-bound minimum takes O(N^2) on grids closed under rotation.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ ROLE_A = "a"
 ROLE_A_PRIME = "a_prime"
 ROLE_B = "b"
 ROLE_B_PRIME = "b_prime"
+# Role and subsystem of each setting direction, in the order a, a', b, b'.
+_ROLES = ((ROLE_A, 1), (ROLE_A_PRIME, 1), (ROLE_B, 2), (ROLE_B_PRIME, 2))
 
 
 @dataclass(frozen=True)
@@ -145,15 +148,9 @@ def resolve_setting_detection(
     then the role alias ("a", "a_prime", "b", "b_prime"), then the model
     default.
     """
-    labels = (
-        spin_label(setting.a, 1),
-        spin_label(setting.a_prime, 1),
-        spin_label(setting.b, 2),
-        spin_label(setting.b_prime, 2),
-    )
-    roles = (ROLE_A, ROLE_A_PRIME, ROLE_B, ROLE_B_PRIME)
     return tuple(
-        det.probability(state_label, label, role=role) for label, role in zip(labels, roles)
+        det.probability(state_label, spin_label(d, subsystem), role=role)
+        for d, (role, subsystem) in zip(setting.directions(), _ROLES)
     )  # type: ignore[return-value]
 
 
@@ -163,7 +160,7 @@ def _resolve_role_detection(
     # Direction-independent resolution (role alias or default only), for
     # paths where the directions vary continuously.
     values = []
-    for role in (ROLE_A, ROLE_A_PRIME, ROLE_B, ROLE_B_PRIME):
+    for role, _ in _ROLES:
         try:
             values.append(det.probability(state_label, role))
         except ConfigurationError as exc:
@@ -269,14 +266,19 @@ def _correlation_tensor(state: DensityState) -> np.ndarray:
 
 
 def _plane_block(state: DensityState) -> np.ndarray:
-    tensor = _correlation_tensor(state)
-    return np.array([[tensor[0, 0], tensor[0, 2]], [tensor[2, 0], tensor[2, 2]]])
+    return _correlation_tensor(state)[np.ix_((0, 2), (0, 2))]
 
 
 def _correlations(tensor: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     # E(a, b) = a . T b for every row a of left and row b of right, with T
     # the 3x3 correlation tensor or its x-z block.
     return left @ tensor @ right.T
+
+
+def _dot_matrix(directions: Sequence[Direction]) -> np.ndarray:
+    # Every a.b, summed elementwise in Direction.dot's order: a.dot(b) to the bit.
+    x, y, z = (np.array(v)[:, None] for v in zip(*((d.x, d.y, d.z) for d in directions)))
+    return x * x.T + y * y.T + z * z.T
 
 
 def _plane_components(angles_rad: np.ndarray) -> np.ndarray:
@@ -293,7 +295,6 @@ def _lhs_grid_max(
     components = _plane_components(np.radians(angles_deg))
     corr = _correlations(_plane_block(state), components, components)
     pa, pap, pb, pbp = weights
-    # min_detection_bound runs through the same _grid_max.
     (ia, iap, ib, ibp), value = _grid_max(pb * corr, pbp * corr, pa, pap)
     setting = ChshSetting.from_plane_angles(
         angles_deg[ia], angles_deg[iap], angles_deg[ib], angles_deg[ibp]
@@ -334,17 +335,19 @@ def modified_lhs_grid_max(
 def min_detection_bound(grid_step_deg: float = 1.0) -> float:
     """Global minimum of detection_bound over the coplanar angle grid.
 
-    The bound's denominator |a.b - a.b'| + |a'.b + a'.b'| is maximized over
-    all four grid angles by _grid_max, the kernel the functional grid maxima
-    share, with a.b = cos(angle a - angle b).  That matrix is symmetric, so
-    only b' >= b is evaluated: O(N^3 / 2) operations.  The denominator
-    depends only on angle differences, so fixing the first angle would give
-    the same value in exact arithmetic, but not in floating point: the
-    result would move by 1-2 ulp on most grids.
+    _grid_max, the kernel the functional grid maxima share, maximizes the
+    denominator |a.b - a.b'| + |a'.b + a'.b'|, with a.b from _dot_matrix.
+    It depends only on angle differences, so on a grid closed under rotation
+    (angle count times step is 360 degrees) b = 0 loses nothing, and only
+    column 0 of a.b goes in as the kernel's left matrix: O(N^2) operations.
+    Every step dividing 45 degrees then gives 2**(-1/4) correctly rounded.
+    An open grid has no such symmetry: it keeps the full symmetric matrix,
+    of which only b' >= b is evaluated, in O(N^3 / 2).
     """
-    angles = np.radians(_grid_angles_deg(grid_step_deg))
-    cosines = np.cos(angles[:, None] - angles[None, :])
-    _, denominator = _grid_max(cosines, cosines, 1.0, 1.0)
+    angles = _grid_angles_deg(grid_step_deg)
+    dots = _dot_matrix([Direction.from_plane_degrees(v) for v in angles.tolist()])
+    left = dots[:, :1] if len(angles) * grid_step_deg == 360.0 else dots
+    _, denominator = _grid_max(left, dots, 1.0, 1.0)
     if denominator <= ALGEBRA_TOL:
         return 1.0
     return min(1.0, math.sqrt(2.0 / denominator))
@@ -439,31 +442,28 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tu
     outside = np.abs(corr) > 1.0 + 1e-9
     if outside.any():
         raise InputValidationError(f"correlation {float(corr[outside][0])!r} lies outside [-1, 1]")
-    cosines = np.cos(angles[:, None] - angles[None, :])
     directions = [Direction.in_plane(theta) for theta in angles.tolist()]
     probs = []
-    for role, subsystem in ((ROLE_A, 1), (ROLE_A_PRIME, 1), (ROLE_B, 2), (ROLE_B_PRIME, 2)):
+    for role, subsystem in _ROLES:
         try:
             probs.append(
                 [det.probability(state.label, spin_label(d, subsystem), role) for d in directions]
             )
         except ConfigurationError as exc:
             raise ConfigurationError(f"scan cannot resolve role {role!r}: {exc}") from None
-    return directions, probs, corr, _scan_blocks(corr, cosines, probs)
+    return directions, probs, corr, _scan_blocks(corr, _dot_matrix(directions), probs)
 
 
 def _scan_blocks(
-    corr: np.ndarray, cosines: np.ndarray, probs: Sequence[Sequence[float]]
+    corr: np.ndarray, dots: np.ndarray, probs: Sequence[Sequence[float]]
 ) -> Iterator[tuple]:
     """Yield (ia, iap, standard, modified, bound, standard_violated,
     modified_violated) for each (a, a') pair in lexicographic order, the
     last five as arrays indexed [b, b'].
 
     The functionals take the same elementwise float operations, in the same
-    order, as standard_chsh_lhs and _weighted_lhs, so they equal the scalar
-    results bit for bit.  The bound applies detection_bound's formula to
-    a.b = cos(angle a - angle b); detection_bound sums the components
-    instead, so the two can differ in the last bit.
+    order, as standard_chsh_lhs, _weighted_lhs and detection_bound (with a.b
+    from _dot_matrix), so they equal the scalar results bit for bit.
     """
     pa, pap, pb, pbp = (np.array(p, dtype=float) for p in probs)
     clipped = np.clip(corr, -1.0, 1.0)
@@ -472,13 +472,13 @@ def _scan_blocks(
         # The first term of each column depends on a only.
         standard_a = np.abs(clipped[ia][:, None] - clipped[ia][None, :])
         modified_a = np.abs(pa[ia] * (scaled_b[ia][:, None] - scaled_bp[ia][None, :]))
-        denominator_a = np.abs(cosines[ia][:, None] - cosines[ia][None, :])
+        denominator_a = np.abs(dots[ia][:, None] - dots[ia][None, :])
         for iap in range(len(corr)):
             standard = standard_a + np.abs(clipped[iap][:, None] + clipped[iap][None, :])
             modified = modified_a + np.abs(
                 pap[iap] * (scaled_b[iap][:, None] + scaled_bp[iap][None, :])
             )
-            denominator = denominator_a + np.abs(cosines[iap][:, None] + cosines[iap][None, :])
+            denominator = denominator_a + np.abs(dots[iap][:, None] + dots[iap][None, :])
             # The floor only avoids dividing by zero where np.where picks 1 anyway.
             bound = np.where(
                 denominator <= ALGEBRA_TOL,

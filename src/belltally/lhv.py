@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
@@ -66,7 +65,7 @@ PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 # (A code, B code) cells described in the module docstring.
 PossessFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 DetectFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-SamplerFn = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+SamplerFn = Callable[["np.random.Generator", int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 _OUTCOME_VALUES = np.array([-1.0, 0.0, 1.0])
 _PRODUCTS = np.outer(_OUTCOME_VALUES, _OUTCOME_VALUES)
@@ -377,6 +376,7 @@ def _ordered_sum(
     """
     if n_workers == 1:
         return sum(map(work, jobs))
+    from concurrent.futures import ThreadPoolExecutor  # only simulate needs a pool
     jobs = iter(jobs)
     total = 0
     with ThreadPoolExecutor(max_workers=n_workers) as pool:

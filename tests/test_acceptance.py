@@ -88,7 +88,7 @@ def test_03_detection_bound_and_grid_minimum():
     assert bound == pytest.approx(0.840896, abs=1e-6)
     assert 1.0 - bound == pytest.approx(0.159104, abs=1e-6)
     grid_min = min_detection_bound(1.0)
-    assert grid_min == pytest.approx(QUARTER_ROOT, abs=1e-4)
+    assert grid_min == 2 ** -0.25
     elapsed = clock.check()
     print(
         f"[acceptance 03] PASS bound {bound:.6f}, floor {1.0 - bound:.6f}, "

@@ -5,7 +5,6 @@ here are a literal four-way maximum over a coarse angle grid built from
 independently computed correlations, and a row-by-row reference reduction
 that the array kernel must match exactly, indices included.
 """
-import dataclasses
 import math
 import subprocess
 import sys
@@ -35,8 +34,10 @@ from belltally import (
     standard_lhs_grid_max,
     quantum_expectation_product,
 )
+from belltally import chsh
 from belltally.chsh import (
     _correlations,
+    _dot_matrix,
     _grid_angles_deg,
     _grid_max,
     _plane_block,
@@ -70,11 +71,11 @@ def row_loop_grid_max(left: np.ndarray, right: np.ndarray, pa: float, pap: float
     Each row index i updates both terms' running maxima, and their argmax, on
     strict improvement; (j, k) is then the first maximizer of the sum.
     """
-    n = left.shape[1]
-    best_minus = np.full((n, n), -np.inf)
-    best_plus = np.full((n, n), -np.inf)
-    arg_minus = np.zeros((n, n), dtype=np.intp)
-    arg_plus = np.zeros((n, n), dtype=np.intp)
+    shape = (left.shape[1], right.shape[1])
+    best_minus = np.full(shape, -np.inf)
+    best_plus = np.full(shape, -np.inf)
+    arg_minus = np.zeros(shape, dtype=np.intp)
+    arg_plus = np.zeros(shape, dtype=np.intp)
     for i in range(left.shape[0]):
         row = np.abs(pa * (left[i][:, None] - right[i][None, :]))
         mask = row > best_minus
@@ -111,6 +112,19 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_monte_carlo_machinery():
+    """Only simulate needs numpy.random and a thread pool; the other commands
+    should not pay for importing them."""
+    code = (
+        "import sys, belltally.cli; "
+        "print(sorted(m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestConditionalExpectations:
@@ -276,24 +290,46 @@ class TestDetectionBound:
     @pytest.mark.parametrize(
         "step, expected",
         [
-            (0.75, 0.8408964152537144),
-            (1.0, 0.8408964152537144),
+            (0.75, 2 ** -0.25),
+            (1.0, 2 ** -0.25),
             (2.0, 0.84096045886793),
             (3.3, 0.8409279791074584),
-            (5.0, 0.8408964152537144),
-            (7.5, 0.8408964152537144),
+            (5.0, 2 ** -0.25),
+            (7.5, 2 ** -0.25),
             (13.0, 0.8419522980629391),
-            (15.0, 0.8408964152537144),
+            (15.0, 2 ** -0.25),
             (30.0, 0.8555996771673521),
-            (45.0, 0.8408964152537145),
+            (45.0, 2 ** -0.25),
             (60.0, 0.8944271909999157),
             (90.0, 1.0),
         ],
     )
     def test_grid_minimum_to_the_bit(self, step, expected):
-        """Maximizing over all four angles fixes these floats; fixing the first
-        angle would move several of them by 1-2 ulp."""
+        """Every closed grid whose step divides 45 degrees contains the
+        minimizing angles and gives 2**(-1/4) correctly rounded; the other
+        grids miss them, and their floats are pinned as computed."""
         assert min_detection_bound(step) == expected
+
+    @pytest.mark.parametrize(
+        "step, columns", [(1.0, 1), (2.0, 1), (7.5, 1), (90.0, 1), (3.3, 110), (13.0, 28)]
+    )
+    def test_closed_grids_pass_one_column(self, monkeypatch, step, columns):
+        """A grid closed under rotation passes only column 0 of a.b as the
+        kernel's left matrix; 3.3 and 13 degrees do not close, so they pass
+        the whole matrix as both arguments."""
+        calls = []
+
+        def recorder(left, right, pa, pap):
+            calls.append((left.copy(), right.copy()))
+            return _grid_max(left, right, pa, pap)
+
+        monkeypatch.setattr(chsh, "_grid_max", recorder)
+        min_detection_bound(step)
+        [(left, right)] = calls
+        dots = _dot_matrix([Direction.from_plane_degrees(v) for v in _grid_angles_deg(step)])
+        assert left.shape == (len(dots), columns)
+        assert np.array_equal(left, dots[:, :columns])
+        assert np.array_equal(right, dots)
 
     def test_invalid_grid_step(self):
         with pytest.raises(InputValidationError):
@@ -328,18 +364,23 @@ class TestGridMax:
         assert value == brute_force_grid_max(corr, weights)
 
     # The reference loop takes about 0.5 s per call at 1 degree, so that grid
-    # runs only the cosine matrix min_detection_bound passes.  An integer
-    # matrix is the seed of a random state.
+    # runs only a cosine matrix and the one-column left matrix that
+    # min_detection_bound passes on closed grids.  An integer matrix is the
+    # seed of a random state.
     @pytest.mark.parametrize(
         "matrix, step",
-        [("cosine", 1.0)]
+        [("cosine", 1.0), ("column", 1.0), ("column", 5.0)]
         + [(m, s) for s in (5.0, 7.0, 13.0) for m in ("cosine", "singlet", 211, 212)],
     )
     def test_kernel_matches_row_loop_reference(self, matrix, step):
         """Value and all four indices equal the row-loop reduction's, bit for
         bit, including weights that tie every total, or one term, at 0."""
         angles = np.radians(_grid_angles_deg(step))
-        if matrix == "cosine":
+        columns = None
+        if matrix == "column":
+            corr = _dot_matrix([Direction.in_plane(v) for v in angles.tolist()])
+            columns = 1
+        elif matrix == "cosine":
             corr = np.cos(angles[:, None] - angles[None, :])
         else:
             if matrix == "singlet":
@@ -358,7 +399,7 @@ class TestGridMax:
             (0.0, 0.6, 0.7, 0.4),
             (0.6, 0.0, 0.7, 0.4),
         ]:
-            left, right = pb * corr, pbp * corr
+            left, right = pb * corr[:, :columns], pbp * corr
             assert _grid_max(left, right, pa, pap) == row_loop_grid_max(left, right, pa, pap)
 
     def test_singlet_fine_grid_reaches_tsirelson(self):
@@ -474,9 +515,7 @@ class TestAngleScan:
     def test_rows_match_direct_evaluation(self):
         """Every row equals modified_chsh_lhs at its setting exactly, for a
         mixed state and detection entries keyed by spin_label on some grid
-        angles, with role fallback on the rest.  The bound is exact on the
-        90-degree grid; elsewhere the scan takes a.b as cos(a - b) while
-        detection_bound sums components, which can differ in the last bit."""
+        angles, with role fallback on the rest."""
         rng = np.random.default_rng(2718)
         state = random_density_state(rng, "mixed")
         roles = ("a", "a_prime", "b", "b_prime")
@@ -491,9 +530,7 @@ class TestAngleScan:
             assert len(reports) == round(360.0 / step_deg) ** 4
             for report in reports:
                 direct = modified_chsh_lhs(report.setting, state, det)
-                if step_deg != 90.0:
-                    assert report.bound == pytest.approx(direct.bound, rel=1e-15, abs=0.0)
-                    direct = dataclasses.replace(direct, bound=report.bound)
+                assert report.bound == direct.bound
                 assert report == direct
                 keyed.update(report.detection_probs)
         assert {0.5 * 0.97, 0.6 * 0.97, 0.7 * 0.97, 0.9 * 0.97, 0.95 * 0.97} <= keyed

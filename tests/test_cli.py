@@ -247,9 +247,10 @@ class TestSimulate:
     @needs_wait4
     def test_memory_does_not_grow_with_trials(self):
         """Peak RSS of a 2-worker run is the same at 200,000 and 2,000,000
-        trials and stays near a bare import: chunks are folded as they
-        finish and evaluated in blocks whose temporaries are reused."""
-        bare = peak_rss("-c", "import belltally.cli")
+        trials and stays near a bare import of what simulate loads: chunks
+        are folded as they finish and evaluated in blocks whose temporaries
+        are reused."""
+        bare = peak_rss("-c", "import belltally.cli, numpy.random, concurrent.futures")
         small, large = (
             peak_rss("-m", "belltally", "simulate", "--workers", "2", "--trials", trials)
             for trials in ("200000", "2000000")
