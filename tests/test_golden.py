@@ -3,11 +3,14 @@
 Each command in GOLDEN_COMMANDS runs through main() in process, and its
 stdout must equal the file of the same name under tests/golden/.  Seeded
 simulate output runs at one and at two workers against the same file.
+Outputs too large to keep as files, the 15 and 30 degree scans the
+benchmark runs, are checked against frozen sha256 digests instead.
 
 The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
 Do that only for an intended output change, and declare it.
 """
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -35,6 +38,18 @@ GOLDEN_COMMANDS = {
     "simulate.json": ["simulate", "--trials", "70000", "--seed", "7", "--format", "json"],
 }
 
+# sha256 of stdout, frozen like the golden files: 331,776 and 20,736 rows.
+GOLDEN_DIGESTS = {
+    "scan-15-detection.csv": (
+        ["scan", "--grid-step", "15", "--detection", "0.9,0.8,0.85,0.95"],
+        "9c5c02f8ad868245fb6624b7cc08dfafdd9121b6620d322c640ba3eea3e0c926",
+    ),
+    "scan-30.json": (
+        ["scan", "--grid-step", "30", "--format", "json"],
+        "5019ba72e975a5aeff4268120dfcde1dca0d16d260e4a218eae885bee777be33",
+    ),
+}
+
 
 def run_main(argv):
     """stdout bytes of a successful main(argv) that wrote nothing to stderr."""
@@ -58,6 +73,12 @@ def _cases():
 @pytest.mark.parametrize("name, argv", list(_cases()))
 def test_output_matches_golden(name, argv):
     assert run_main(argv) == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
+def test_output_matches_golden_digest(name):
+    argv, digest = GOLDEN_DIGESTS[name]
+    assert hashlib.sha256(run_main(argv)).hexdigest() == digest
 
 
 if __name__ == "__main__":
