@@ -17,7 +17,6 @@ from .chsh import (
     modified_lhs_grid_max,
     optimize_chsh_angles,
     standard_chsh_lhs,
-    standard_lhs_grid_max,
 )
 from .detection import (
     DetectionModel,
@@ -46,10 +45,8 @@ from .lhv import (
     SimulationSummary,
     chsh_pairs,
     constant_model,
-    estimate_micro_correlation,
     fair_sampling_check,
     gisin_gisin_model,
-    micro_chsh,
     micro_observable_expectation,
     mixture_probabilities,
     random_microstate_model,

@@ -17,6 +17,10 @@ threshold on the detection probability itself:
 whose global minimum over settings is 2**(-1/4) at the maximally violating
 angles.
 
+The standard functional and the bound's denominator are the weighted one at
+unit weights, on clipped correlations and on a.b.  Multiplying by 1.0 is
+exact, so one routine, _combination, evaluates all three to the bit.
+
 Angle grids are coplanar (x-z plane) quadruples.  Grid extrema exploit the
 separability of the two absolute-value terms: the first depends on (a, b, b')
 only and the second on (a', b, b'), so the maximum over the full four-angle
@@ -48,12 +52,8 @@ from .quantum import (
 # Margin above the algebraic limit 2 before a value counts as a violation.
 VIOLATION_TOL = 1e-12
 
-ROLE_A = "a"
-ROLE_A_PRIME = "a_prime"
-ROLE_B = "b"
-ROLE_B_PRIME = "b_prime"
 # Role and subsystem of each setting direction, in the order a, a', b, b'.
-_ROLES = ((ROLE_A, 1), (ROLE_A_PRIME, 1), (ROLE_B, 2), (ROLE_B_PRIME, 2))
+_ROLES = (("a", 1), ("a_prime", 1), ("b", 2), ("b_prime", 2))
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,24 @@ def standard_chsh_lhs(
         # Written so that NaN fails the check; the clip below would turn it into -1.
         if not abs(value) <= 1.0 + 1e-9:
             raise InputValidationError(f"correlation {value!r} lies outside [-1, 1]")
-    e1, e2, e3, e4 = (min(1.0, max(-1.0, v)) for v in values)
-    return abs(e1 - e2) + abs(e3 + e4)
+    return _combination(*(min(1.0, max(-1.0, v)) for v in values))
+
+
+def _combination(e1, e2, e3, e4, weights=(1.0, 1.0, 1.0, 1.0)):
+    """|p_a (p_b e1 - p_b' e2)| + |p_a' (p_b e3 + p_b' e4)| with weights
+    (p_a, p_a', p_b, p_b'), over floats or arrays that broadcast together."""
+    pa, pap, pb, pbp = weights
+    return abs(pa * (pb * e1 - pbp * e2)) + abs(pap * (pb * e3 + pbp * e4))
+
+
+def _bound_from_denominator(denominator):
+    """min(1, sqrt(2 / d)) elementwise, and 1 where d <= ALGEBRA_TOL."""
+    # The floor only avoids dividing by zero where np.where picks 1 anyway.
+    return np.where(
+        denominator <= ALGEBRA_TOL,
+        1.0,
+        np.minimum(1.0, np.sqrt(2.0 / np.maximum(denominator, ALGEBRA_TOL))),
+    )
 
 
 def conditional_expectations(
@@ -171,13 +187,6 @@ def _resolve_role_detection(
     return tuple(values)  # type: ignore[return-value]
 
 
-def _weighted_lhs(
-    e1: float, e2: float, e3: float, e4: float, p: tuple[float, float, float, float]
-) -> float:
-    pa, pap, pb, pbp = p
-    return abs(pa * (pb * e1 - pbp * e2)) + abs(pap * (pb * e3 + pbp * e4))
-
-
 def modified_chsh_lhs(
     setting: ChshSetting, state: DensityState, det: DetectionModel
 ) -> ChshReport:
@@ -190,7 +199,7 @@ def modified_chsh_lhs(
     e1, e2, e3, e4 = conditional_expectations(state, setting)
     probs = resolve_setting_detection(det, state.label, setting)
     standard = standard_chsh_lhs(e1, e2, e3, e4)
-    weighted = _weighted_lhs(e1, e2, e3, e4, probs)
+    weighted = _combination(e1, e2, e3, e4, probs)
     return ChshReport(
         setting=setting,
         e_ab=e1,
@@ -213,10 +222,8 @@ def detection_bound(setting: ChshSetting) -> float:
     denominator places no constraint, so the cap applies.
     """
     a, a_prime, b, b_prime = setting.directions()
-    denominator = abs(a.dot(b) - a.dot(b_prime)) + abs(a_prime.dot(b) + a_prime.dot(b_prime))
-    if denominator <= ALGEBRA_TOL:
-        return 1.0
-    return min(1.0, math.sqrt(2.0 / denominator))
+    denominator = _combination(a.dot(b), a.dot(b_prime), a_prime.dot(b), a_prime.dot(b_prime))
+    return float(_bound_from_denominator(denominator))
 
 
 def _grid_angles_deg(grid_step_deg: float) -> np.ndarray:
@@ -286,29 +293,6 @@ def _plane_components(angles_rad: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(angles_rad), np.cos(angles_rad)], axis=1)
 
 
-def _lhs_grid_max(
-    state: DensityState,
-    weights: tuple[float, float, float, float],
-    grid_step_deg: float,
-) -> tuple[ChshSetting, float]:
-    angles_deg = _grid_angles_deg(grid_step_deg)
-    components = _plane_components(np.radians(angles_deg))
-    corr = _correlations(_plane_block(state), components, components)
-    pa, pap, pb, pbp = weights
-    (ia, iap, ib, ibp), value = _grid_max(pb * corr, pbp * corr, pa, pap)
-    setting = ChshSetting.from_plane_angles(
-        angles_deg[ia], angles_deg[iap], angles_deg[ib], angles_deg[ibp]
-    )
-    return setting, value
-
-
-def standard_lhs_grid_max(
-    state: DensityState, grid_step_deg: float = 1.0
-) -> tuple[ChshSetting, float]:
-    """Maximum of the standard functional over the coplanar angle grid."""
-    return _lhs_grid_max(state, (1.0, 1.0, 1.0, 1.0), grid_step_deg)
-
-
 def modified_lhs_grid_max(
     state: DensityState,
     detection_probs: float | Sequence[float],
@@ -329,7 +313,15 @@ def modified_lhs_grid_max(
     for w in weights:
         if not 0.0 <= w <= 1.0:
             raise InputValidationError(f"detection probability {w!r} outside [0, 1]")
-    return _lhs_grid_max(state, weights, grid_step_deg)
+    angles_deg = _grid_angles_deg(grid_step_deg)
+    components = _plane_components(np.radians(angles_deg))
+    corr = _correlations(_plane_block(state), components, components)
+    pa, pap, pb, pbp = weights
+    (ia, iap, ib, ibp), value = _grid_max(pb * corr, pbp * corr, pa, pap)
+    setting = ChshSetting.from_plane_angles(
+        angles_deg[ia], angles_deg[iap], angles_deg[ib], angles_deg[ibp]
+    )
+    return setting, value
 
 
 def min_detection_bound(grid_step_deg: float = 1.0) -> float:
@@ -348,9 +340,7 @@ def min_detection_bound(grid_step_deg: float = 1.0) -> float:
     dots = _dot_matrix([Direction.from_plane_degrees(v) for v in angles.tolist()])
     left = dots[:, :1] if len(angles) * grid_step_deg == 360.0 else dots
     _, denominator = _grid_max(left, dots, 1.0, 1.0)
-    if denominator <= ALGEBRA_TOL:
-        return 1.0
-    return min(1.0, math.sqrt(2.0 / denominator))
+    return float(_bound_from_denominator(denominator))
 
 
 # The two-angle pattern search stops once its step falls below this many
@@ -420,7 +410,7 @@ def optimize_chsh_angles(
     a_deg, a_prime_deg = np.degrees(np.arctan2(*np.hstack([minus, plus]))) % 360.0
     b_deg, b_prime_deg = point % 360.0
     setting = ChshSetting.from_plane_angles(a_deg, a_prime_deg, b_deg, b_prime_deg)
-    return setting, _weighted_lhs(*conditional_expectations(state, setting), weights)
+    return setting, _combination(*conditional_expectations(state, setting), weights)
 
 
 def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tuple:
@@ -461,42 +451,37 @@ def _scan_blocks(
     modified_violated) for each (a, a') pair in lexicographic order, the
     last five as arrays indexed [b, b'].
 
-    The functionals take the same elementwise float operations, in the same
-    order, as standard_chsh_lhs, _weighted_lhs and detection_bound (with a.b
-    from _dot_matrix), so they equal the scalar results bit for bit.
+    Each block is one _combination call per functional, the same one
+    standard_chsh_lhs, modified_chsh_lhs and detection_bound make (with a.b
+    from _dot_matrix), so every row equals the scalar results bit for bit.
     """
     pa, pap, pb, pbp = (np.array(p, dtype=float) for p in probs)
+    # Row i as a column over b and as a row over b', for each matrix.
     clipped = np.clip(corr, -1.0, 1.0)
-    scaled_b, scaled_bp = pb * corr, pbp * corr
-    for ia in range(len(corr)):
-        # The first term of each column depends on a only.
-        standard_a = np.abs(clipped[ia][:, None] - clipped[ia][None, :])
-        modified_a = np.abs(pa[ia] * (scaled_b[ia][:, None] - scaled_bp[ia][None, :]))
-        denominator_a = np.abs(dots[ia][:, None] - dots[ia][None, :])
-        for iap in range(len(corr)):
-            standard = standard_a + np.abs(clipped[iap][:, None] + clipped[iap][None, :])
-            modified = modified_a + np.abs(
-                pap[iap] * (scaled_b[iap][:, None] + scaled_bp[iap][None, :])
+    clipped_b, clipped_bp = clipped[:, :, None], clipped[:, None, :]
+    corr_b, corr_bp = corr[:, :, None], corr[:, None, :]
+    dots_b, dots_bp = dots[:, :, None], dots[:, None, :]
+    pb, pbp = pb[:, None], pbp[None, :]
+    for ia, iap in product(range(len(corr)), repeat=2):
+        standard = _combination(clipped_b[ia], clipped_bp[ia], clipped_b[iap], clipped_bp[iap])
+        modified = _combination(
+            corr_b[ia], corr_bp[ia], corr_b[iap], corr_bp[iap], (pa[ia], pap[iap], pb, pbp)
+        )
+        bound = _bound_from_denominator(
+            _combination(dots_b[ia], dots_bp[ia], dots_b[iap], dots_bp[iap])
+        )
+        # ChshReport's range checks, on the whole block.
+        if standard.min() < 0.0 or modified.min() < 0.0:
+            raise InputValidationError("functional values cannot be negative")
+        outside = ~((bound > 0.0) & (bound <= 1.0))
+        if outside.any():
+            raise InputValidationError(
+                f"bound must lie in (0, 1], got {float(bound[outside][0])!r}"
             )
-            denominator = denominator_a + np.abs(dots[iap][:, None] + dots[iap][None, :])
-            # The floor only avoids dividing by zero where np.where picks 1 anyway.
-            bound = np.where(
-                denominator <= ALGEBRA_TOL,
-                1.0,
-                np.minimum(1.0, np.sqrt(2.0 / np.maximum(denominator, ALGEBRA_TOL))),
-            )
-            # ChshReport's range checks, on the whole block.
-            if standard.min() < 0.0 or modified.min() < 0.0:
-                raise InputValidationError("functional values cannot be negative")
-            outside = ~((bound > 0.0) & (bound <= 1.0))
-            if outside.any():
-                raise InputValidationError(
-                    f"bound must lie in (0, 1], got {float(bound[outside][0])!r}"
-                )
-            yield (
-                ia, iap, standard, modified, bound,
-                standard > 2.0 + VIOLATION_TOL, modified > 2.0 + VIOLATION_TOL,
-            )
+        yield (
+            ia, iap, standard, modified, bound,
+            standard > 2.0 + VIOLATION_TOL, modified > 2.0 + VIOLATION_TOL,
+        )
 
 
 def angle_scan(

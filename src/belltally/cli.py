@@ -22,6 +22,7 @@ import numpy as np
 # because perfbench/tracer.py wraps it among the names cli looks up.
 from .chsh import (
     ChshSetting,
+    _ROLES,
     _scan_grid,
     angle_scan,  # noqa: F401
     detection_bound,
@@ -348,7 +349,7 @@ def _scan_text(scan: tuple, json_rows: bool) -> Iterator[str]:
 def cmd_scan(cfg: ExperimentConfig) -> int:
     """Stream both functionals over the coplanar angle grid."""
     state = cfg.resolve_state()
-    det = cfg.resolve_detection(state.label, ("a", "a_prime", "b", "b_prime"))
+    det = cfg.resolve_detection(state.label, tuple(role for role, _ in _ROLES))
     step = cfg.grid_step_deg if cfg.grid_step_deg is not None else 45.0
     scan = _scan_grid(state, det, math.radians(step))
     if cfg.format == "json":

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .chsh import ChshSetting
+from .chsh import ChshSetting, _combination
 from .errors import InputValidationError, ZeroProbabilityError
 from .quantum import ALGEBRA_TOL, Direction
 
@@ -477,18 +477,6 @@ def run_experiment(
     )
 
 
-def estimate_micro_correlation(
-    model: MicrostateModel,
-    a: Direction,
-    b: Direction,
-    n_trials: int,
-    seed: int,
-    n_workers: int = 1,
-) -> float:
-    """Monte Carlo estimate of the all-trials product expectation."""
-    return run_experiment(model, [(a, b)], n_trials, seed, n_workers).micro_correlation(0)
-
-
 def chsh_pairs(setting: ChshSetting) -> tuple[tuple[Direction, Direction], ...]:
     """The four correlation pairs of a CHSH run, in tally order."""
     return (
@@ -509,20 +497,7 @@ def summary_chsh(summary: SimulationSummary, conditional: bool = False) -> tuple
     else:
         corr = [summary.micro_correlation(i) for i in range(4)]
         errors = [summary.micro_correlation_se(i) for i in range(4)]
-    value = abs(corr[0] - corr[1]) + abs(corr[2] + corr[3])
-    return value, math.sqrt(sum(e * e for e in errors))
-
-
-def micro_chsh(
-    model: MicrostateModel,
-    setting: ChshSetting,
-    n_trials: int,
-    seed: int,
-    n_workers: int = 1,
-) -> float:
-    """All-trials CHSH combination of a model at a setting."""
-    summary = run_experiment(model, chsh_pairs(setting), n_trials, seed, n_workers)
-    return summary_chsh(summary, conditional=False)[0]
+    return _combination(*corr), math.sqrt(sum(e * e for e in errors))
 
 
 class FairSamplingResult(NamedTuple):
@@ -626,9 +601,7 @@ def simulate_chsh(
     pap = (freq_a[2] + freq_a[3]) / 2.0
     pb = (freq_b[0] + freq_b[2]) / 2.0
     pbp = (freq_b[1] + freq_b[3]) / 2.0
-    predicted = abs(pa * (pb * cond[0] - pbp * cond[1])) + abs(
-        pap * (pb * cond[2] + pbp * cond[3])
-    )
+    predicted = _combination(*cond, (pa, pap, pb, pbp))
     se_pa = math.sqrt(max(0.0, pa * (1.0 - pa)) / (2 * n_trials))
     se_pap = math.sqrt(max(0.0, pap * (1.0 - pap)) / (2 * n_trials))
     se_pb = math.sqrt(max(0.0, pb * (1.0 - pb)) / (2 * n_trials))

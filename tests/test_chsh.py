@@ -31,7 +31,6 @@ from belltally import (
     spin_label,
     spin_observable,
     standard_chsh_lhs,
-    standard_lhs_grid_max,
     quantum_expectation_product,
 )
 from belltally import chsh
@@ -341,7 +340,7 @@ class TestGridMax:
         """Separable reduction vs a literal four-way maximum at 30 degrees."""
         angles = np.arange(0.0, 360.0, 30.0)
         corr = plane_correlations(singlet_state(), angles)
-        setting, value = standard_lhs_grid_max(singlet_state(), 30.0)
+        setting, value = modified_lhs_grid_max(singlet_state(), 1.0, 30.0)
         assert value == brute_force_grid_max(corr)
         achieved = standard_chsh_lhs(*conditional_expectations(singlet_state(), setting))
         assert achieved == pytest.approx(value, abs=1e-10)
@@ -351,7 +350,7 @@ class TestGridMax:
         state = random_density_state(rng)
         angles = np.arange(0.0, 360.0, 30.0)
         corr = plane_correlations(state, angles)
-        _, value = standard_lhs_grid_max(state, 30.0)
+        _, value = modified_lhs_grid_max(state, 1.0, 30.0)
         assert value == brute_force_grid_max(corr)
 
     def test_weighted_matches_brute_force(self):
@@ -403,7 +402,7 @@ class TestGridMax:
             assert _grid_max(left, right, pa, pap) == row_loop_grid_max(left, right, pa, pap)
 
     def test_singlet_fine_grid_reaches_tsirelson(self):
-        _, value = standard_lhs_grid_max(singlet_state(), 5.0)
+        _, value = modified_lhs_grid_max(singlet_state(), 1.0, 5.0)
         assert value == pytest.approx(TSIRELSON, abs=1e-12)
 
     def test_scalar_weight_equals_uniform_tuple(self):
@@ -446,7 +445,7 @@ class TestOptimizer:
             setting, value = optimize_chsh_angles(state, None, "standard")
             assert value <= ceiling + 1e-9
             achieved = standard_chsh_lhs(*conditional_expectations(state, setting))
-            assert achieved == pytest.approx(value, abs=1e-9)
+            assert achieved == value
 
     def test_refinement_lands_between_grid_and_ceiling(self):
         """The refined value dominates the fine grid but cannot pass the
@@ -454,7 +453,7 @@ class TestOptimizer:
         rng = np.random.default_rng(109)
         state = random_density_state(rng)
         _, value = optimize_chsh_angles(state, None, "standard")
-        _, fine = standard_lhs_grid_max(state, 1.0)
+        _, fine = modified_lhs_grid_max(state, 1.0, 1.0)
         block = plane_correlations(state, (90.0, 0.0))
         ceiling = 2.0 * math.sqrt(float((np.linalg.svd(block, compute_uv=False) ** 2).sum()))
         assert fine - 1e-9 <= value <= ceiling + 1e-9
@@ -473,7 +472,7 @@ class TestOptimizer:
             _, fine = modified_lhs_grid_max(state, weights, 1.0)
             assert value >= fine - 1e-9
             direct = modified_chsh_lhs(setting, state, det).modified_lhs
-            assert value == pytest.approx(direct, abs=1e-9)
+            assert value == direct
 
     def test_deterministic(self):
         state = singlet_state()

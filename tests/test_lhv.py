@@ -26,11 +26,9 @@ from belltally import (
     ZeroProbabilityError,
     chsh_pairs,
     constant_model,
-    estimate_micro_correlation,
     fair_sampling_check,
     generalized_correlation,
     gisin_gisin_model,
-    micro_chsh,
     micro_observable_expectation,
     mixture_probabilities,
     random_microstate_model,
@@ -40,6 +38,7 @@ from belltally import (
     simulate_chsh,
     singlet_state,
     spin_observable,
+    standard_chsh_lhs,
     summary_chsh,
 )
 
@@ -235,7 +234,8 @@ class TestSignModel:
     def test_chsh_reaches_the_classical_ceiling(self):
         """Sign-sign sphere correlations give each term magnitude one half
         at the preset angles, so the combination sits exactly at 2."""
-        value = micro_chsh(sign_model(), ChshSetting.tsirelson(), 1000000, 8)
+        pairs = chsh_pairs(ChshSetting.tsirelson())
+        value, _ = summary_chsh(run_experiment(sign_model(), pairs, 1000000, 8))
         assert value == pytest.approx(2.0, abs=0.01)
 
     def test_sign_correlation_closed_form(self):
@@ -507,7 +507,7 @@ class TestSummaryChsh:
         setting = ChshSetting.tsirelson()
         summary = run_experiment(gisin_gisin_model(), chsh_pairs(setting), 50000, 31)
         value, sigma = summary_chsh(summary)
-        assert value == pytest.approx(micro_chsh(gisin_gisin_model(), setting, 50000, 31))
+        assert value == simulate_chsh(gisin_gisin_model(), setting, 50000, 31).micro_chsh
         assert 0.0 < sigma < 0.02
 
 
@@ -564,6 +564,8 @@ class TestSimulateChsh:
             assert sim.divergences[i] == pytest.approx(
                 abs(sim.all_sample_pair_frequencies[i] - sim.detected_pair_frequencies[i])
             )
+        assert sim.micro_chsh == standard_chsh_lhs(*sim.micro_correlations)
+        assert sim.conditional_chsh == standard_chsh_lhs(*sim.conditional_correlations)
 
 
 class TestRandomModels:
