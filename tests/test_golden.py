@@ -3,8 +3,11 @@
 Each command in GOLDEN_COMMANDS runs through main() in process, and its
 stdout must equal the file of the same name under tests/golden/.  Seeded
 simulate output runs at one and at two workers against the same file.
-Outputs too large to keep as files, the 15 and 30 degree scans the
-benchmark runs, are checked against frozen sha256 digests instead.
+Outputs too large to keep as files are checked against frozen sha256
+digests instead: the 15 and 30 degree scans the benchmark runs, a 13
+degree grid that is not closed under rotation, with odd probabilities
+and angle cells 8 to 10 characters wide, and a 20 degree scan whose
+modified_lhs column is all zero.
 
 The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
 Do that only for an intended output change, and declare it.
@@ -38,7 +41,8 @@ GOLDEN_COMMANDS = {
     "simulate.json": ["simulate", "--trials", "70000", "--seed", "7", "--format", "json"],
 }
 
-# sha256 of stdout, frozen like the golden files: 331,776 and 20,736 rows.
+# sha256 of stdout, frozen like the golden files: 331,776, 20,736, 531,441
+# and 104,976 rows.
 GOLDEN_DIGESTS = {
     "scan-15-detection.csv": (
         ["scan", "--grid-step", "15", "--detection", "0.9,0.8,0.85,0.95"],
@@ -47,6 +51,14 @@ GOLDEN_DIGESTS = {
     "scan-30.json": (
         ["scan", "--grid-step", "30", "--format", "json"],
         "5019ba72e975a5aeff4268120dfcde1dca0d16d260e4a218eae885bee777be33",
+    ),
+    "scan-13-odd-detection.csv": (
+        ["scan", "--grid-step", "13", "--detection", "0.3333,0.9999,0.123456789,1"],
+        "d264be31b91b97fde1b1bb3294c61cd488e0b60856affdc8eec454cd6b497e41",
+    ),
+    "scan-20-zero-detection.csv": (
+        ["scan", "--grid-step", "20", "--detection", "0"],
+        "962bb87427dc22224988a1e4ffe84b2953cdfbbefc45bb32cb6ba1dd9708a84f",
     ),
 }
 
