@@ -2,18 +2,21 @@
 
 Data goes to stdout as CSV (fixed-point, 6 decimals) or JSON (full
 precision, schema_version 1); diagnostics go to stderr.  Exit code 0 on
-success, 2 on usage or configuration errors.
+success, 2 on usage or configuration errors.  CSV number cells are
+byte-identical to Python's '%.6f', correctly rounded with ties to even,
+and scans stream one (a, a') block at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -301,48 +304,103 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _scan_text(scan: tuple, json_rows: bool) -> Iterator[str]:
-    """The rows of a _scan_grid scan as text, one chunk per (a, a') block.
+def _fixed6(x: np.ndarray) -> np.ndarray:
+    """The bytes of '%.6f' % v for each v in x, as uint8 of shape x.shape + (8,).
 
-    CSV cells are fixed-point with 6 decimals.  JSON rows are the text
-    json.dump(indent=2) writes for them inside the payload's "rows" list,
-    with no comma after the last.  Cells that depend on one grid angle are
-    formatted once per angle, and so are the (b, b') and flag pairs of
-    adjacent cells; each block is one %-template, filled per row with those
-    pairs and the three computed columns.
+    Like Python's, the digits are correctly rounded, ties to even.  x must
+    lie in [0, 9.9999995], where every value prints as d.dddddd, or this
+    raises.  A Veltkamp split of x into halves of at most 26 bits gives the
+    error of p = x * 1e6 exactly, since 1e6 has 14; where p is a
+    half-integer, the error's sign breaks the tie np.rint breaks to even.
     """
-    # leads[k] is the text before the cell of column k.
-    if json_rows:
-        cell, number, close, between = json.dumps, "%r", "\n    }", ",\n"
-        leads = [f',\n      "{column}": ' for column in SCAN_COLUMNS]
-        leads[0] = f'    {{\n      "{SCAN_COLUMNS[0]}": '
-    else:
-        cell, number, close, between = _fmt, "%.6f", "\n", ""
-        leads = [""] + [","] * (len(SCAN_COLUMNS) - 1)
+    if np.signbit(x).any() or not (x <= 9.9999995).all():
+        raise InputValidationError("fixed-point cells must lie in [0, 9.9999995]")
+    p, c = x * 1e6, x * 134217729.0
+    high = c - (c - x)
+    error = (high * 1e6 - p) + (x - high) * 1e6
+    q = np.rint(p)
+    tie = p - q
+    q += 2.0 * tie * ((np.abs(tie) == 0.5) & (tie * error > 0.0))
+    lead, tail = np.divmod(q.astype(np.int64), 10**4)
+    leads, tails = _digit_words()
+    return np.stack((leads.take(lead), tails.take(tail)), axis=-1).view(np.uint8)
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    # k < 1000 as "d.dd" and k < 10**4 as "dddd", one uint32 word each.
+    digits = np.stack(np.indices((10,) * 4, np.uint8), axis=-1).reshape(-1, 4) + ord("0")
+    leads = np.insert(digits[:1000, 1:], 1, ord("."), axis=1)
+    return leads.view(np.uint32)[:, 0], digits.view(np.uint32)[:, 0]
+
+
+def _scan_csv(scan: tuple) -> Iterator[str]:
+    """The rows of a _scan_grid scan as CSV text, one chunk per (a, a') block.
+
+    A block is an (n*n, W) byte matrix of left-aligned, NUL-padded column
+    segments: the block's a and a' cells, a (b, b') table, the block's pd_a
+    and pd_a' cells, a (pd_b, pd_b') table, three _fixed6 number fields and
+    a flag-pair table whose rows end in a newline.  Dropping the NULs
+    leaves the rows.
+    """
+    def padded(cells: list[str]) -> np.ndarray:  # one row per cell
+        encoded = np.array([cell.encode("ascii") for cell in cells])
+        return encoded.view(np.uint8).reshape(len(cells), -1)
+
     directions, probs, _, blocks = scan
-    angles = [cell(d.plane_angle_deg()) for d in directions]
-    pa, pap, pb, pbp = ([cell(p) for p in role] for role in probs)
+    n = len(directions)
+    angle = padded([_fmt(d.plane_angle_deg()) + "," for d in directions])
+    pa, pap, pb, pbp = (padded([_fmt(p) + "," for p in role]) for role in probs)
+    flags = padded([f"{s},{m}\n" for s in ("false", "true") for m in ("false", "true")])
+    widths = [angle.shape[1]] * 4 + [cells.shape[1] for cells in (pa, pap, pb, pbp)]
+    edges = list(accumulate(widths + [9, 9, 9, flags.shape[1]], initial=0))
+    a, ap, b, bp, pd_a, pd_ap, pd_b, pd_bp, *numbers, flag = map(slice, edges, edges[1:])
+    rows = np.zeros((n * n, edges[-1]), np.uint8)
+    ib, ibp = np.divmod(np.arange(n * n), n)
+    rows[:, b], rows[:, bp] = angle[ib], angle[ibp]
+    rows[:, pd_b], rows[:, pd_bp] = pb[ib], pbp[ibp]
+    rows[:, [column.stop - 1 for column in numbers]] = ord(",")
+    for ia, iap, standard, modified, bound, standard_violated, modified_violated in blocks:
+        rows[:, a], rows[:, ap] = angle[ia], angle[iap]
+        rows[:, pd_a], rows[:, pd_ap] = pa[ia], pap[iap]
+        digits = _fixed6(np.stack((standard, modified, bound), axis=-1).reshape(n * n, 3))
+        for k, column in enumerate(numbers):
+            rows[:, column.start : column.stop - 1] = digits[:, k]
+        rows[:, flag] = flags.take((2 * standard_violated + modified_violated).ravel(), axis=0)
+        yield rows[rows != 0].tobytes().decode("ascii")
+
+
+def _scan_text(scan: tuple) -> Iterator[str]:
+    """The rows of a _scan_grid scan as JSON text, one chunk per (a, a') block.
+
+    The chunks are what json.dump(indent=2) writes inside the payload's
+    "rows" list.  Each block is one %-template, filled per row with (b, b')
+    and flag pairs of cells formatted once per scan and the three computed
+    columns.
+    """
+    # leads[k] is the text before the cell of column k; the first row's
+    # comma and newline are dropped.
+    leads = [f',\n      "{column}": ' for column in SCAN_COLUMNS]
+    leads[0] = f',\n    {{\n      "{SCAN_COLUMNS[0]}": '
+    directions, probs, _, blocks = scan
+    angles = [json.dumps(d.plane_angle_deg()) for d in directions]
+    pa, pap, pb, pbp = ([json.dumps(p) for p in role] for role in probs)
     grid = range(len(angles))
     b_pairs = [angles[j] + leads[3] + angles[k] for j in grid for k in grid]
     pb_pairs = [pb[j] + leads[7] + pbp[k] for j in grid for k in grid]
     flags = ("false", "true")
     flag_pairs = np.array([s + leads[12] + m for s in flags for m in flags])
-    skip = len(between)
+    skip = 2
     for ia, iap, standard, modified, bound, standard_violated, modified_violated in blocks:
         row = "".join(
-            [between, leads[0], angles[ia], leads[1], angles[iap], leads[2], "%s"]
+            [leads[0], angles[ia], leads[1], angles[iap], leads[2], "%s"]
             + [leads[4], pa[ia], leads[5], pap[iap], leads[6], "%s"]
-            + [leads[8], number, leads[9], number, leads[10], number, leads[11], "%s", close]
+            + [leads[8], "%r", leads[9], "%r", leads[10], "%r", leads[11], "%s", "\n    }"]
         )
-        values = zip(
-            b_pairs,
-            pb_pairs,
-            standard.ravel().tolist(),
-            modified.ravel().tolist(),
-            bound.ravel().tolist(),
-            flag_pairs[2 * standard_violated + modified_violated].ravel().tolist(),
-        )
-        yield (row * len(b_pairs) % tuple(chain.from_iterable(values)))[skip:]
+        flag_cells = flag_pairs[2 * standard_violated + modified_violated]
+        columns = (c.ravel().tolist() for c in (standard, modified, bound, flag_cells))
+        values = chain.from_iterable(zip(b_pairs, pb_pairs, *columns))
+        yield (row * len(b_pairs) % tuple(values))[skip:]
         skip = 0
 
 
@@ -357,11 +415,11 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
             '{\n  "schema_version": %s,\n  "grid_step_deg": %s,\n  "rows": [\n'
             % (json.dumps(SCHEMA_VERSION), json.dumps(step))
         )
-        sys.stdout.writelines(_scan_text(scan, json_rows=True))
+        sys.stdout.writelines(_scan_text(scan))
         sys.stdout.write("\n  ]\n}\n")
         return 0
     _emit_csv(SCAN_COLUMNS)
-    sys.stdout.writelines(_scan_text(scan, json_rows=False))
+    sys.stdout.writelines(_scan_csv(scan))
     return 0
 
 

@@ -534,6 +534,22 @@ class TestAngleScan:
                 keyed.update(report.detection_probs)
         assert {0.5 * 0.97, 0.6 * 0.97, 0.7 * 0.97, 0.9 * 0.97, 0.95 * 0.97} <= keyed
 
+    def test_standard_column_clips_correlations_past_one(self, monkeypatch):
+        """Correlations in (1, 1 + 1e-9] pass the scan's range check; the
+        standard column must clip them as standard_chsh_lhs does, to the bit."""
+        unscaled = chsh._correlations
+        monkeypatch.setattr(chsh, "_correlations", lambda *args: unscaled(*args) * (1.0 + 5e-10))
+        state, det = singlet_state(), DetectionModel.uniform(1.0)
+        _, _, corr, blocks = chsh._scan_grid(state, det, math.pi / 4.0)
+        assert 1.0 < np.abs(corr).max() <= 1.0 + 1e-9
+        e, grid = corr.tolist(), range(len(corr))
+        for ia, iap, standard, *_ in blocks:
+            expected = [
+                [standard_chsh_lhs(e[ia][ib], e[ia][ibp], e[iap][ib], e[iap][ibp]) for ibp in grid]
+                for ib in grid
+            ]
+            assert standard.tobytes() == np.array(expected).tobytes()
+
     def test_unresolvable_detection_raises(self):
         with pytest.raises(ConfigurationError, match="role"):
             next(angle_scan(singlet_state(), DetectionModel(), math.pi / 2.0))

@@ -12,12 +12,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import belltally
 from belltally import (
     ChshSetting,
     DetectionModel,
+    InputValidationError,
+    angle_scan,
     detection_bound,
     gisin_gisin_model,
     min_detection_bound,
@@ -25,7 +28,7 @@ from belltally import (
     simulate_chsh,
     singlet_state,
 )
-from belltally.cli import main
+from belltally.cli import _fixed6, main
 
 TSIRELSON_VECTORS = (
     "0,0,1;1,0,0;"
@@ -193,6 +196,33 @@ class TestScan:
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    def test_csv_rows_are_percent_formatted_reports(self, capsys):
+        """Every CSV row is the '%.6f' and flag text of angle_scan's report, on
+        a grid not closed under rotation, with odd per-role probabilities
+        scaled by an apparatus factor."""
+        argv = ["--detection", "0.3333,0.9999,0.123456789,1", "--apparatus-factor", "0.5"]
+        code, out, _ = run_cli(capsys, "scan", "--grid-step", "33", *argv)
+        assert code == 0
+        roles, probs = ("a", "a_prime", "b", "b_prime"), (0.3333, 0.9999, 0.123456789, 1.0)
+        entries = {("singlet", role): p for role, p in zip(roles, probs)}
+        det = DetectionModel(entries=entries, apparatus_factor=0.5)
+        expected = []
+        for r in angle_scan(singlet_state(), det, math.radians(33.0)):
+            cells = [*r.setting.plane_angles_deg(), *r.detection_probs]
+            cells += [r.standard_lhs, r.modified_lhs, r.bound]
+            flags = [str(r.standard_violated).lower(), str(r.modified_violated).lower()]
+            expected.append(",".join(["%.6f" % v for v in cells] + flags))
+        assert len(expected) == 10**4
+        assert out.split("\n", 1)[1] == "".join(row + "\n" for row in expected)
+
+    @needs_wait4
+    def test_csv_scan_memory_stays_near_a_bare_import(self):
+        """A 15-degree CSV scan (331,776 rows, about 37 MB of text) peaks
+        within 8 MB of importing the CLI, because rows stream out by block."""
+        bare = peak_rss("-c", "import belltally.cli")
+        scan = peak_rss("-m", "belltally", "scan", "--grid-step", "15")
+        assert scan - bare <= 8 * 2**20
+
     @needs_wait4
     def test_json_scan_memory_stays_near_a_bare_import(self):
         """A 30-degree JSON scan (20,736 rows) peaks within 8 MB of importing
@@ -206,6 +236,51 @@ class TestScan:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def fixed6_mismatches(values):
+    """Up to five values whose _fixed6 bytes differ from '%.6f' % value."""
+    got = _fixed6(values)
+    if got.tobytes() == (("%.6f" * len(values)) % tuple(values.tolist())).encode("ascii"):
+        return []
+    cells = zip(values.tolist(), got.view("S8")[:, 0])
+    return [value for value, cell in cells if cell != b"%.6f" % value][:5]
+
+
+class TestFixed6:
+    """The scan's CSV number renderer against Python's '%.6f'."""
+
+    @pytest.mark.parametrize("toward", [-math.inf, None, math.inf], ids=["below", "at", "above"])
+    def test_half_way_points_and_their_neighbours(self, toward):
+        # (k + 0.5) / 1e6 for every k < 4e6, in slices to keep memory small.
+        for start in range(0, 4_000_000, 400_000):
+            values = (np.arange(start, start + 400_000) + 0.5) / 1e6
+            if toward is not None:
+                values = np.nextafter(values, toward)
+            assert fixed6_mismatches(values) == []
+
+    def test_dyadic_ties(self):
+        values = np.arange(4 * 2**14) / 2**14
+        assert 0.0078125 in values
+        assert fixed6_mismatches(values) == []
+
+    def test_uniform_values(self):
+        values = np.random.default_rng(20071014).uniform(0.0, 4.0, 1_000_000)
+        assert fixed6_mismatches(values) == []
+
+    def test_special_values(self):
+        values = [0.0, 5e-7, 5e-324, 1.0, 2**-0.25, 2.0 * math.sqrt(2.0), 9.9999995]
+        assert fixed6_mismatches(np.array(values)) == []
+        assert _fixed6(np.array(values)).shape == (7, 8)
+
+    @pytest.mark.parametrize(
+        "value",
+        # The last is the least double that prints as 10.000000.
+        [-0.0, -5e-324, -1.0, math.nan, math.inf, -math.inf, 10.0, 12.5, 9.999999500000001],
+    )
+    def test_rejects_values_outside_its_range(self, value):
+        with pytest.raises(InputValidationError):
+            _fixed6(np.array([0.5, value, 0.25]))
 
 
 class TestSimulate:
