@@ -373,15 +373,15 @@ def _scan_csv(scan: tuple) -> Iterator[str]:
 def _scan_text(scan: tuple) -> Iterator[str]:
     """The rows of a _scan_grid scan as JSON text, one chunk per (a, a') block.
 
-    The chunks are what json.dump(indent=2) writes inside the payload's
-    "rows" list.  Each block is one %-template, filled per row with (b, b')
-    and flag pairs of cells formatted once per scan and the three computed
-    columns.
+    The chunks are the text json.dump(indent=2) writes for the rows inside
+    the payload's "rows" list, with no comma after the last.  Cells that
+    depend on one grid angle are formatted once per angle, and so are the
+    (b, b') and flag pairs of adjacent cells; each block is one %-template,
+    filled per row with those pairs and the three computed columns.
     """
-    # leads[k] is the text before the cell of column k; the first row's
-    # comma and newline are dropped.
+    # leads[k] is the text before the cell of column k.
     leads = [f',\n      "{column}": ' for column in SCAN_COLUMNS]
-    leads[0] = f',\n    {{\n      "{SCAN_COLUMNS[0]}": '
+    leads[0] = f'    {{\n      "{SCAN_COLUMNS[0]}": '
     directions, probs, _, blocks = scan
     angles = [json.dumps(d.plane_angle_deg()) for d in directions]
     pa, pap, pb, pbp = ([json.dumps(p) for p in role] for role in probs)
@@ -390,17 +390,22 @@ def _scan_text(scan: tuple) -> Iterator[str]:
     pb_pairs = [pb[j] + leads[7] + pbp[k] for j in grid for k in grid]
     flags = ("false", "true")
     flag_pairs = np.array([s + leads[12] + m for s in flags for m in flags])
-    skip = 2
+    skip = 2  # no ",\n" before the first row
     for ia, iap, standard, modified, bound, standard_violated, modified_violated in blocks:
         row = "".join(
-            [leads[0], angles[ia], leads[1], angles[iap], leads[2], "%s"]
+            [",\n", leads[0], angles[ia], leads[1], angles[iap], leads[2], "%s"]
             + [leads[4], pa[ia], leads[5], pap[iap], leads[6], "%s"]
             + [leads[8], "%r", leads[9], "%r", leads[10], "%r", leads[11], "%s", "\n    }"]
         )
-        flag_cells = flag_pairs[2 * standard_violated + modified_violated]
-        columns = (c.ravel().tolist() for c in (standard, modified, bound, flag_cells))
-        values = chain.from_iterable(zip(b_pairs, pb_pairs, *columns))
-        yield (row * len(b_pairs) % tuple(values))[skip:]
+        values = zip(
+            b_pairs,
+            pb_pairs,
+            standard.ravel().tolist(),
+            modified.ravel().tolist(),
+            bound.ravel().tolist(),
+            flag_pairs[2 * standard_violated + modified_violated].ravel().tolist(),
+        )
+        yield (row * len(b_pairs) % tuple(chain.from_iterable(values)))[skip:]
         skip = 0
 
 
