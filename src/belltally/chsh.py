@@ -51,6 +51,8 @@ from .quantum import (
 
 # Margin above the algebraic limit 2 before a value counts as a violation.
 VIOLATION_TOL = 1e-12
+# Rows per scan slab, unless one (a, a') block of n**2 rows is larger.
+_SLAB_ROWS = 1 << 13
 
 # Role and subsystem of each setting direction, in the order a, a', b, b'.
 _ROLES = (("a", 1), ("a_prime", 1), ("b", 2), ("b_prime", 2))
@@ -226,11 +228,16 @@ def detection_bound(setting: ChshSetting) -> float:
     return float(_bound_from_denominator(denominator))
 
 
+def _check_grid_step(step: float, turn: float, domain: str) -> None:
+    # Before any allocation: step in (0, turn / 4], and n x n floats indexable.
+    if not 0.0 < step <= turn / 4.0 + ALGEBRA_TOL:
+        raise InputValidationError(f"grid step must lie in {domain}, got {step!r}")
+    if (turn / step) * (turn / step) * 8.0 > np.iinfo(np.intp).max:
+        raise InputValidationError(f"grid step is too fine: {turn / step:.3g} angles per turn")
+
+
 def _grid_angles_deg(grid_step_deg: float) -> np.ndarray:
-    if not 0.0 < grid_step_deg <= 90.0 + ALGEBRA_TOL:
-        raise InputValidationError(
-            f"grid step must lie in (0, 90] degrees, got {grid_step_deg!r}"
-        )
+    _check_grid_step(grid_step_deg, 360.0, "(0, 90] degrees")
     return np.arange(0.0, 360.0 - 1e-9, grid_step_deg)
 
 
@@ -419,12 +426,10 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tu
     Returns the grid directions; the detection probabilities of each grid
     angle per role (a, a', b, b'), resolved through spin_label; the
     correlation matrix E[i, j] = E(angle i, angle j); and the lazy
-    _scan_blocks iterator.  Every input check runs before this returns.
+    _scan_slabs iterator, holding one slab of at most max(_SLAB_ROWS,
+    n**2) rows at a time.  Every input check runs before this returns.
     """
-    if not 0.0 < grid_step <= math.pi / 2.0 + ALGEBRA_TOL:
-        raise InputValidationError(
-            f"grid step must lie in (0, pi/2] radians, got {grid_step!r}"
-        )
+    _check_grid_step(grid_step, 2.0 * math.pi, "(0, pi/2] radians")
     count = int(math.floor(2.0 * math.pi / grid_step + 1e-9))
     angles = np.arange(count) * grid_step
     components = _plane_components(angles)
@@ -441,36 +446,40 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tu
             )
         except ConfigurationError as exc:
             raise ConfigurationError(f"scan cannot resolve role {role!r}: {exc}") from None
-    return directions, probs, corr, _scan_blocks(corr, _dot_matrix(directions), probs)
+    return directions, probs, corr, _scan_slabs(corr, _dot_matrix(directions), probs)
 
 
-def _scan_blocks(
+def _scan_slabs(
     corr: np.ndarray, dots: np.ndarray, probs: Sequence[Sequence[float]]
 ) -> Iterator[tuple]:
-    """Yield (ia, iap, standard, modified, bound, standard_violated,
-    modified_violated) for each (a, a') pair in lexicographic order, the
-    last five as arrays indexed [b, b'].
+    """Yield (ia, aps, standard, modified, bound, standard_violated,
+    modified_violated) per slab in lexicographic order: one a and a slice aps
+    of k = max(1, min(n, _SLAB_ROWS // n**2)) a' (fewer at the end of a's
+    run), the last five as arrays indexed [a' - aps.start, b, b'].
 
-    Each block is one _combination call per functional, the same one
+    Each slab is one _combination call per functional, the same one
     standard_chsh_lhs, modified_chsh_lhs and detection_bound make (with a.b
     from _dot_matrix), so every row equals the scalar results bit for bit.
     """
+    n = len(corr)
+    k = max(1, min(n, _SLAB_ROWS // (n * n)))
     pa, pap, pb, pbp = (np.array(p, dtype=float) for p in probs)
-    # Row i as a column over b and as a row over b', for each matrix.
+    # Row i as a column over b and as a row over b' (rows aps: axis 0 is a').
     clipped = np.clip(corr, -1.0, 1.0)
     clipped_b, clipped_bp = clipped[:, :, None], clipped[:, None, :]
     corr_b, corr_bp = corr[:, :, None], corr[:, None, :]
     dots_b, dots_bp = dots[:, :, None], dots[:, None, :]
-    pb, pbp = pb[:, None], pbp[None, :]
-    for ia, iap in product(range(len(corr)), repeat=2):
-        standard = _combination(clipped_b[ia], clipped_bp[ia], clipped_b[iap], clipped_bp[iap])
+    pap, pb, pbp = pap[:, None, None], pb[:, None], pbp[None, :]
+    for ia, start in product(range(n), range(0, n, k)):
+        aps = slice(start, min(start + k, n))
+        standard = _combination(clipped_b[ia], clipped_bp[ia], clipped_b[aps], clipped_bp[aps])
         modified = _combination(
-            corr_b[ia], corr_bp[ia], corr_b[iap], corr_bp[iap], (pa[ia], pap[iap], pb, pbp)
+            corr_b[ia], corr_bp[ia], corr_b[aps], corr_bp[aps], (pa[ia], pap[aps], pb, pbp)
         )
         bound = _bound_from_denominator(
-            _combination(dots_b[ia], dots_bp[ia], dots_b[iap], dots_bp[iap])
+            _combination(dots_b[ia], dots_bp[ia], dots_b[aps], dots_bp[aps])
         )
-        # ChshReport's range checks, on the whole block.
+        # ChshReport's range checks, on the whole slab.
         if standard.min() < 0.0 or modified.min() < 0.0:
             raise InputValidationError("functional values cannot be negative")
         outside = ~((bound > 0.0) & (bound <= 1.0))
@@ -479,7 +488,7 @@ def _scan_blocks(
                 f"bound must lie in (0, 1], got {float(bound[outside][0])!r}"
             )
         yield (
-            ia, iap, standard, modified, bound,
+            ia, aps, standard, modified, bound,
             standard > 2.0 + VIOLATION_TOL, modified > 2.0 + VIOLATION_TOL,
         )
 
@@ -494,12 +503,12 @@ def angle_scan(
     per direction with role-alias and default fallback; an unresolvable
     entry raises a ConfigurationError naming the role.
     """
-    directions, (pa, pap, pb, pbp), corr, blocks = _scan_grid(state, det, grid_step)
+    directions, (pa, pap, pb, pbp), corr, slabs = _scan_grid(state, det, grid_step)
     e = corr.tolist()
     grid = range(len(directions))
-    for ia, iap, *columns in blocks:
-        rows = zip(product(grid, grid), *(column.ravel().tolist() for column in columns))
-        for (ib, ibp), standard, modified, bound, *flags in rows:
+    for ia, aps, *columns in slabs:
+        rows = zip(product(grid[aps], grid, grid), *(c.ravel().tolist() for c in columns))
+        for (iap, ib, ibp), standard, modified, bound, *flags in rows:
             setting = ChshSetting(directions[ia], directions[iap], directions[ib], directions[ibp])
             correlations = (e[ia][ib], e[ia][ibp], e[iap][ib], e[iap][ibp])
             probs = (pa[ia], pap[iap], pb[ib], pbp[ibp])

@@ -3,8 +3,8 @@
 Data goes to stdout as CSV (fixed-point, 6 decimals) or JSON (full
 precision, schema_version 1); diagnostics go to stderr.  Exit code 0 on
 success, 2 on usage or configuration errors.  CSV number cells are
-byte-identical to Python's '%.6f', correctly rounded with ties to even,
-and scans stream one (a, a') block at a time.
+byte-identical to Python's '%.6f', correctly rounded with ties to even, and
+scans stream one slab of at most max(chsh._SLAB_ROWS, n**2) rows at a time.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain
+from itertools import accumulate, chain, cycle
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-# angle_scan is bound here, though cmd_scan streams _scan_grid's blocks,
+# angle_scan is bound here, though cmd_scan streams _scan_grid's slabs,
 # because perfbench/tracer.py wraps it among the names cli looks up.
 from .chsh import (
     ChshSetting,
@@ -335,19 +335,20 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan_csv(scan: tuple) -> Iterator[str]:
-    """The rows of a _scan_grid scan as CSV text, one chunk per (a, a') block.
+    """The rows of a _scan_grid scan as CSV text, one chunk per slab.
 
-    A block is an (n*n, W) byte matrix of left-aligned, NUL-padded column
-    segments: the block's a and a' cells, a (b, b') table, the block's pd_a
-    and pd_a' cells, a (pd_b, pd_b') table, three _fixed6 number fields and
-    a flag-pair table whose rows end in a newline.  Dropping the NULs
-    leaves the rows.
+    A slab of k (a, a') blocks is a (k*n*n, W) byte matrix of left-aligned,
+    NUL-padded column segments: the a cell, the a' cells, a (b, b') table
+    tiled k times, the pd_a and pd_a' cells, a tiled (pd_b, pd_b') table,
+    three _fixed6 number fields and a flag-pair table whose rows end in a
+    newline.  It is laid out once, for the first and largest slab, of at most
+    max(_SLAB_ROWS, n**2) rows.  Dropping the NULs leaves the rows.
     """
     def padded(cells: list[str]) -> np.ndarray:  # one row per cell
         encoded = np.array([cell.encode("ascii") for cell in cells])
         return encoded.view(np.uint8).reshape(len(cells), -1)
 
-    directions, probs, _, blocks = scan
+    directions, probs, _, slabs = scan
     n = len(directions)
     angle = padded([_fmt(d.plane_angle_deg()) + "," for d in directions])
     pa, pap, pb, pbp = (padded([_fmt(p) + "," for p in role]) for role in probs)
@@ -355,34 +356,38 @@ def _scan_csv(scan: tuple) -> Iterator[str]:
     widths = [angle.shape[1]] * 4 + [cells.shape[1] for cells in (pa, pap, pb, pbp)]
     edges = list(accumulate(widths + [9, 9, 9, flags.shape[1]], initial=0))
     a, ap, b, bp, pd_a, pd_ap, pd_b, pd_bp, *numbers, flag = map(slice, edges, edges[1:])
-    rows = np.zeros((n * n, edges[-1]), np.uint8)
-    ib, ibp = np.divmod(np.arange(n * n), n)
-    rows[:, b], rows[:, bp] = angle[ib], angle[ibp]
-    rows[:, pd_b], rows[:, pd_bp] = pb[ib], pbp[ibp]
-    rows[:, [column.stop - 1 for column in numbers]] = ord(",")
-    for ia, iap, standard, modified, bound, standard_violated, modified_violated in blocks:
-        rows[:, a], rows[:, ap] = angle[ia], angle[iap]
-        rows[:, pd_a], rows[:, pd_ap] = pa[ia], pap[iap]
-        digits = _fixed6(np.stack((standard, modified, bound), axis=-1).reshape(n * n, 3))
+    rows = np.zeros((0, edges[-1]), np.uint8)
+    for ia, aps, standard, modified, bound, standard_violated, modified_violated in slabs:
+        if not len(rows):
+            rows = np.zeros((standard.size, edges[-1]), np.uint8)
+            ib, ibp = np.divmod(np.arange(standard.size) % (n * n), n)
+            rows[:, b], rows[:, bp] = angle[ib], angle[ibp]
+            rows[:, pd_b], rows[:, pd_bp] = pb[ib], pbp[ibp]
+            rows[:, [column.stop - 1 for column in numbers]] = ord(",")
+        slab = rows[: standard.size]
+        blocks = slab.reshape(len(standard), n * n, -1)  # [a', (b, b'), byte]
+        slab[:, a], blocks[:, :, ap] = angle[ia], angle[aps, None]
+        slab[:, pd_a], blocks[:, :, pd_ap] = pa[ia], pap[aps, None]
+        digits = _fixed6(np.stack((standard, modified, bound), axis=-1).reshape(-1, 3))
         for k, column in enumerate(numbers):
-            rows[:, column.start : column.stop - 1] = digits[:, k]
-        rows[:, flag] = flags.take((2 * standard_violated + modified_violated).ravel(), axis=0)
-        yield rows[rows != 0].tobytes().decode("ascii")
+            slab[:, column.start : column.stop - 1] = digits[:, k]
+        slab[:, flag] = flags.take((2 * standard_violated + modified_violated).ravel(), axis=0)
+        yield slab.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _scan_text(scan: tuple) -> Iterator[str]:
-    """The rows of a _scan_grid scan as JSON text, one chunk per (a, a') block.
+    """The rows of a _scan_grid scan as JSON text, one chunk per slab.
 
     The chunks are the text json.dump(indent=2) writes for the rows inside
     the payload's "rows" list, with no comma after the last.  Cells that
     depend on one grid angle are formatted once per angle, and so are the
-    (b, b') and flag pairs of adjacent cells; each block is one %-template,
-    filled per row with those pairs and the three computed columns.
+    (b, b') and flag cell pairs; each slab of at most max(_SLAB_ROWS, n**2)
+    rows is one %-template, filled with those pairs and the computed columns.
     """
     # leads[k] is the text before the cell of column k.
     leads = [f',\n      "{column}": ' for column in SCAN_COLUMNS]
     leads[0] = f'    {{\n      "{SCAN_COLUMNS[0]}": '
-    directions, probs, _, blocks = scan
+    directions, probs, _, slabs = scan
     angles = [json.dumps(d.plane_angle_deg()) for d in directions]
     pa, pap, pb, pbp = ([json.dumps(p) for p in role] for role in probs)
     grid = range(len(angles))
@@ -390,22 +395,21 @@ def _scan_text(scan: tuple) -> Iterator[str]:
     pb_pairs = [pb[j] + leads[7] + pbp[k] for j in grid for k in grid]
     flags = ("false", "true")
     flag_pairs = np.array([s + leads[12] + m for s in flags for m in flags])
-    skip = 2  # no ",\n" before the first row
-    for ia, iap, standard, modified, bound, standard_violated, modified_violated in blocks:
-        row = "".join(
+
+    def row(ia: int, iap: int) -> str:  # one row's template, its (a, a') cells filled
+        return "".join(
             [",\n", leads[0], angles[ia], leads[1], angles[iap], leads[2], "%s"]
             + [leads[4], pa[ia], leads[5], pap[iap], leads[6], "%s"]
             + [leads[8], "%r", leads[9], "%r", leads[10], "%r", leads[11], "%s", "\n    }"]
         )
-        values = zip(
-            b_pairs,
-            pb_pairs,
-            standard.ravel().tolist(),
-            modified.ravel().tolist(),
-            bound.ravel().tolist(),
-            flag_pairs[2 * standard_violated + modified_violated].ravel().tolist(),
-        )
-        yield (row * len(b_pairs) % tuple(chain.from_iterable(values)))[skip:]
+
+    skip = 2  # no ",\n" before the first row
+    for ia, aps, standard, modified, bound, standard_violated, modified_violated in slabs:
+        rows = "".join(row(ia, iap) * len(b_pairs) for iap in grid[aps])
+        numbers = (column.ravel().tolist() for column in (standard, modified, bound))
+        flag_text = flag_pairs[2 * standard_violated + modified_violated].ravel().tolist()
+        values = zip(cycle(b_pairs), cycle(pb_pairs), *numbers, flag_text)
+        yield (rows % tuple(chain.from_iterable(values)))[skip:]
         skip = 0
 
 

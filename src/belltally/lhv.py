@@ -20,13 +20,15 @@ any trial count.
 
 Tally scheme
 ------------
-A chunk is sampled once, then evaluated in row blocks of 16384 trials
-whose temporaries the allocator reuses.  Within a block each side evaluates
-its possession and detection callables once per distinct direction and
-encodes every trial as a 2-bit code, 2 * detected + (possessed value > 0).
-Each pair then adds one 16-bin bincount over (A code, B code) per block
-into the chunk's integer cells; the 3x3 registered-outcome tally and the
-2x2 possession tally are both sums over those 16 cells.
+A chunk is sampled once, into buffers each worker thread reuses for every
+chunk (so no chunk faults in fresh pages), then evaluated in row blocks of
+16384 trials whose temporaries the allocator reuses.  Within a block each
+side evaluates its possession and detection callables once per distinct
+direction and encodes every trial as a 2-bit code, 2 * detected +
+(possessed value > 0).  Each pair then adds one 16-bin bincount over
+(A code, B code) per block into the chunk's integer cells; the 3x3
+registered-outcome tally and the 2x2 possession tally are both sums over
+those 16 cells.
 
 The reference detection-loophole model (``gisin_gisin_model``) registers
 A = sign(a.lam) with probability |a.lam| and always registers
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -65,7 +68,10 @@ PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 # (A code, B code) cells described in the module docstring.
 PossessFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 DetectFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-SamplerFn = Callable[["np.random.Generator", int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+# sampler(rng, count, *, out=None) -> (axes, u_a, u_b), as sample_hidden_uniform.
+SamplerFn = Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
+# Each worker thread's sampler buffers, reused by every chunk it evaluates.
+_worker = threading.local()
 
 _OUTCOME_VALUES = np.array([-1.0, 0.0, 1.0])
 _PRODUCTS = np.outer(_OUTCOME_VALUES, _OUTCOME_VALUES)
@@ -75,25 +81,35 @@ _PRODUCTS = np.outer(_OUTCOME_VALUES, _OUTCOME_VALUES)
 _CODE_TO_OUTCOME = np.array([[0, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.int64)
 
 
+def _sampler_buffers(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # sample_hidden_uniform's draws, axes and per-block scratch for count rows.
+    return np.empty((count, 4)), np.empty((count, 3)), np.empty((3, min(count, _BLOCK)))
+
+
 def sample_hidden_uniform(
-    rng: np.random.Generator, count: int
+    rng: np.random.Generator, count: int, *, out: tuple[np.ndarray, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lam uniform on the sphere (area-preserving map), u_a and u_b uniform.
 
     Draw order is fixed (z, azimuth, u_a, u_b per trial) so samples are a
     pure function of the generator state; filling axes in row blocks keeps it.
+    out, if given, holds buffers from _sampler_buffers(n) for some n >= count;
+    the results are then views of it.  Otherwise every call returns new arrays.
     """
-    draws = rng.random((count, 4))
-    axes = np.empty((count, 3))
+    draws, axes, scratch = _sampler_buffers(count) if out is None else out
+    draws, axes = draws[:count], axes[:count]
+    rng.random(out=draws)
     for start in range(0, count, _BLOCK):
-        block, out = draws[start : start + _BLOCK], axes[start : start + _BLOCK]
-        z = out[:, 2]
+        block, rows = draws[start : start + _BLOCK], axes[start : start + _BLOCK]
+        azimuth, trig, radial = scratch[:, : len(block)]
+        z = rows[:, 2]
         np.multiply(2.0, block[:, 0], out=z)
         z -= 1.0
-        azimuth = 2.0 * math.pi * block[:, 1]
-        radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        np.multiply(radial, np.cos(azimuth), out=out[:, 0])
-        np.multiply(radial, np.sin(azimuth), out=out[:, 1])
+        np.multiply(2.0 * math.pi, block[:, 1], out=azimuth)
+        np.subtract(1.0, np.multiply(z, z, out=radial), out=radial)
+        np.sqrt(np.maximum(0.0, radial, out=radial), out=radial)
+        np.multiply(radial, np.cos(azimuth, out=trig), out=rows[:, 0])
+        np.multiply(radial, np.sin(azimuth, out=trig), out=rows[:, 1])
     return axes, draws[:, 2], draws[:, 3]
 
 
@@ -332,13 +348,8 @@ class SimulationSummary:
         return float((self.tallies[index] * _PRODUCTS).sum() / detected)
 
     def conditional_correlation_se(self, index: int) -> float:
-        detected = self.both_detected_count(index)
-        if detected == 0:
-            raise ZeroProbabilityError(
-                "conditional correlation is undefined: no doubly registered trials"
-            )
-        mean = self.conditional_correlation(index)
-        return math.sqrt(max(0.0, 1.0 - mean * mean) / detected)
+        mean = self.conditional_correlation(index)  # raises when no trial registered twice
+        return math.sqrt(max(0.0, 1.0 - mean * mean) / self.both_detected_count(index))
 
     def detection_frequency(self, index: int, side: str) -> float:
         """Fraction of trials with a registered outcome on side "a" or "b"."""
@@ -396,7 +407,9 @@ def _chunk_tallies(
 ) -> np.ndarray:
     """(pairs, 4, 4) counts of (A code, B code) for one chunk of trials."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    axes, u_a, u_b = model.sampler(rng, size)
+    if not hasattr(_worker, "buffers"):
+        _worker.buffers = _sampler_buffers(CHUNK_SIZE)
+    axes, u_a, u_b = model.sampler(rng, size, out=_worker.buffers)
 
     def side_codes(cache, possess, detect, axes, u, direction):
         key = direction.tobytes()
@@ -602,10 +615,9 @@ def simulate_chsh(
     pb = (freq_b[0] + freq_b[2]) / 2.0
     pbp = (freq_b[1] + freq_b[3]) / 2.0
     predicted = _combination(*cond, (pa, pap, pb, pbp))
-    se_pa = math.sqrt(max(0.0, pa * (1.0 - pa)) / (2 * n_trials))
-    se_pap = math.sqrt(max(0.0, pap * (1.0 - pap)) / (2 * n_trials))
-    se_pb = math.sqrt(max(0.0, pb * (1.0 - pb)) / (2 * n_trials))
-    se_pbp = math.sqrt(max(0.0, pbp * (1.0 - pbp)) / (2 * n_trials))
+    se_pa, se_pap, se_pb, se_pbp = (
+        math.sqrt(max(0.0, p * (1.0 - p)) / (2 * n_trials)) for p in (pa, pap, pb, pbp)
+    )
     predicted_error = math.sqrt(
         (pa * pb * cond_se[0]) ** 2
         + (pa * pbp * cond_se[1]) ** 2

@@ -8,6 +8,7 @@ that the array kernel must match exactly, indices included.
 import math
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from belltally.chsh import (
     _correlations,
     _dot_matrix,
     _grid_angles_deg,
+    _combination,
+    _bound_from_denominator,
     _grid_max,
     _plane_block,
     _plane_components,
@@ -488,6 +491,33 @@ class TestOptimizer:
             optimize_chsh_angles(singlet_state(), None, "modified")
 
 
+def reference_scan_blocks(corr, dots, probs):
+    """Reference for chsh._scan_slabs: the per-(a, a') block loop it replaced.
+
+    Yields (ia, iap, standard, modified, bound, standard_violated,
+    modified_violated) for each (a, a') pair in lexicographic order, the
+    last five as arrays indexed [b, b'].
+    """
+    pa, pap, pb, pbp = (np.array(p, dtype=float) for p in probs)
+    clipped = np.clip(corr, -1.0, 1.0)
+    clipped_b, clipped_bp = clipped[:, :, None], clipped[:, None, :]
+    corr_b, corr_bp = corr[:, :, None], corr[:, None, :]
+    dots_b, dots_bp = dots[:, :, None], dots[:, None, :]
+    pb, pbp = pb[:, None], pbp[None, :]
+    for ia, iap in product(range(len(corr)), repeat=2):
+        standard = _combination(clipped_b[ia], clipped_bp[ia], clipped_b[iap], clipped_bp[iap])
+        modified = _combination(
+            corr_b[ia], corr_bp[ia], corr_b[iap], corr_bp[iap], (pa[ia], pap[iap], pb, pbp)
+        )
+        bound = _bound_from_denominator(
+            _combination(dots_b[ia], dots_bp[ia], dots_b[iap], dots_bp[iap])
+        )
+        yield (
+            ia, iap, standard, modified, bound,
+            standard > 2.0 + chsh.VIOLATION_TOL, modified > 2.0 + chsh.VIOLATION_TOL,
+        )
+
+
 class TestAngleScan:
     def test_quarter_pi_grid_contains_tsirelson(self):
         reports = list(angle_scan(singlet_state(), DetectionModel.uniform(1.0), math.pi / 4.0))
@@ -540,15 +570,18 @@ class TestAngleScan:
         unscaled = chsh._correlations
         monkeypatch.setattr(chsh, "_correlations", lambda *args: unscaled(*args) * (1.0 + 5e-10))
         state, det = singlet_state(), DetectionModel.uniform(1.0)
-        _, _, corr, blocks = chsh._scan_grid(state, det, math.pi / 4.0)
+        _, _, corr, slabs = chsh._scan_grid(state, det, math.pi / 4.0)
         assert 1.0 < np.abs(corr).max() <= 1.0 + 1e-9
         e, grid = corr.tolist(), range(len(corr))
-        for ia, iap, standard, *_ in blocks:
+        rows = 0
+        for ia, aps, standard, *_ in slabs:
             expected = [
-                [standard_chsh_lhs(e[ia][ib], e[ia][ibp], e[iap][ib], e[iap][ibp]) for ibp in grid]
-                for ib in grid
+                standard_chsh_lhs(e[ia][ib], e[ia][ibp], e[iap][ib], e[iap][ibp])
+                for iap, ib, ibp in product(grid[aps], grid, grid)
             ]
             assert standard.tobytes() == np.array(expected).tobytes()
+            rows += standard.size
+        assert rows == len(grid) ** 4
 
     def test_unresolvable_detection_raises(self):
         with pytest.raises(ConfigurationError, match="role"):
@@ -557,3 +590,39 @@ class TestAngleScan:
     def test_step_validation(self):
         with pytest.raises(InputValidationError):
             next(angle_scan(singlet_state(), DetectionModel.uniform(1.0), 2.0))
+
+
+class TestScanSlabs:
+    @pytest.mark.parametrize(
+        "slab_rows, k",
+        [(1, 1), (64, 1), (3 * 64 + 63, 3), (8 * 64, 8), (10**6, 8)],
+        ids=["below-one-block", "one-block", "k-3-not-dividing-8", "k-n", "capped-at-n"],
+    )
+    def test_slabs_match_per_block_reference(self, monkeypatch, slab_rows, k):
+        """On the 8-angle grid every slab holds k a' indices (fewer at the end
+        of a's run), and each of its (a, a') blocks equals the per-block
+        reference to the byte, for a mixed state and detection keyed by
+        spin_label on some grid angles."""
+        monkeypatch.setattr(chsh, "_SLAB_ROWS", slab_rows)
+        state = random_density_state(np.random.default_rng(314), "mixed")
+        roles = ("a", "a_prime", "b", "b_prime")
+        entries = {("mixed", role): p for role, p in zip(roles, (0.9, 0.8, 0.85, 0.95))}
+        entries[("mixed", spin_label(Direction.from_plane_degrees(45.0), 1))] = 0.5
+        entries[("mixed", spin_label(Direction.from_plane_degrees(90.0), 2))] = 0.7
+        det = DetectionModel(entries=entries, apparatus_factor=0.97)
+        directions, probs, corr, slabs = chsh._scan_grid(state, det, math.pi / 4.0)
+        n = len(directions)
+        reference = reference_scan_blocks(corr, _dot_matrix(directions), probs)
+        runs = []
+        for ia, aps, *columns in slabs:
+            runs.append((ia, aps.start, aps.stop))
+            for offset, iap in enumerate(range(aps.start, aps.stop)):
+                ref_ia, ref_iap, *ref_columns = next(reference)
+                assert (ia, iap) == (ref_ia, ref_iap)
+                for got, want in zip(columns, ref_columns, strict=True):
+                    assert got.shape == (aps.stop - aps.start, n, n)
+                    assert got.dtype == want.dtype
+                    assert got[offset].tobytes() == want.tobytes()
+        assert next(reference, None) is None
+        starts = range(0, n, k)
+        assert runs == [(ia, j, min(j + k, n)) for ia in range(n) for j in starts]

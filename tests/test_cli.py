@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,6 +501,25 @@ class TestErrors:
                 main(["bound", "--grid-step", bad])
             assert info.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "--grid-step", "1e-300"], ["scan", "--grid-step", "1e-30"]],
+        ids=["bound-1e-300", "scan-1e-30"],
+    )
+    def test_grid_step_too_fine_to_count_exits_2_before_allocating(self, capsys, argv):
+        """A step whose angle count numpy cannot even size exits 2 with one
+        error line, having allocated next to nothing."""
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: grid step is too fine") and err.count("\n") == 1
+        assert peak < 2**20
 
     def test_unknown_state_reports_cleanly(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--state", "foo", "--grid-step", "90")

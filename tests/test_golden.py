@@ -7,7 +7,8 @@ Outputs too large to keep as files are checked against frozen sha256
 digests instead: the 15 and 30 degree scans the benchmark runs, a 13
 degree grid that is not closed under rotation, with odd probabilities
 and angle cells 8 to 10 characters wide, and a 20 degree scan whose
-modified_lhs column is all zero.
+modified_lhs column is all zero.  Four of the scans are rerun with the
+scan's slab size patched, so that their bytes cannot depend on it.
 
 The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
 Do that only for an intended output change, and declare it.
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from belltally import chsh
 from belltally.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -91,6 +93,29 @@ def test_output_matches_golden(name, argv):
 def test_output_matches_golden_digest(name):
     argv, digest = GOLDEN_DIGESTS[name]
     assert hashlib.sha256(run_main(argv)).hexdigest() == digest
+
+
+# Scans rerun with chsh._SLAB_ROWS patched so that each slab holds k = 1,
+# k = n // 2 + 1 (dividing none of these n) or k = n of the n grid angles.
+SLAB_SCANS = {
+    "scan-45-detection.csv": 8,
+    "scan-90.json": 4,
+    "scan-30.json": 12,
+    "scan-20-zero-detection.csv": 18,
+}
+
+
+@pytest.mark.parametrize("k", ["1", "half-plus-one", "n"])
+@pytest.mark.parametrize("name", list(SLAB_SCANS))
+def test_scan_bytes_do_not_depend_on_the_slab_size(monkeypatch, name, k):
+    n = SLAB_SCANS[name]
+    slab_angles = {"1": 1, "half-plus-one": n // 2 + 1, "n": n}[k]
+    monkeypatch.setattr(chsh, "_SLAB_ROWS", slab_angles * n * n)
+    if name in GOLDEN_DIGESTS:
+        argv, digest = GOLDEN_DIGESTS[name]
+        assert hashlib.sha256(run_main(argv)).hexdigest() == digest
+    else:
+        assert run_main(GOLDEN_COMMANDS[name]) == (GOLDEN_DIR / name).read_bytes()
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ The sphere closed forms used as oracles: a sign-sign correlation of
 1 - 2 theta / pi for an angle theta between the axes, and a mean alignment
 E[|a.lam|] of one half.
 """
+import dataclasses
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -98,6 +100,29 @@ class TestSampler:
         for got, want in zip(blocked, whole, strict=True):
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, lhv._BLOCK + 1, 40000, lhv.CHUNK_SIZE])
+    def test_reused_buffers_keep_the_draw_stream(self, count):
+        """Chunk-sized buffers, filled with NaN and then with a first sample,
+        give the same bytes and leave the generator where fresh arrays do."""
+        buffers = lhv._sampler_buffers(lhv.CHUNK_SIZE)
+        for buffer in buffers:
+            buffer.fill(np.nan)
+        for seed in (0, 2**40 + 3):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            reused = sample_hidden_uniform(rng, count, out=buffers)
+            whole = _whole_array_sampler(reference_rng, count)
+            for got, want in zip(reused, whole, strict=True):
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                assert got.tobytes() == want.tobytes()
+                assert any(np.shares_memory(got, buffer) for buffer in buffers)
+            assert rng.random() == reference_rng.random()
+
+    def test_calls_without_buffers_do_not_alias(self):
+        first = sample_hidden_uniform(np.random.default_rng(1), 100)
+        second = sample_hidden_uniform(np.random.default_rng(1), 100)
+        for got in first:
+            assert not any(np.shares_memory(got, other) for other in second)
 
     def test_shapes_and_ranges(self):
         rng = np.random.default_rng(5)
@@ -423,6 +448,27 @@ class TestChunkTallies:
         # code = 2 * detected + positive, so axes 2 and 4 are the possessed signs
         np.testing.assert_array_equal(cells.reshape(-1, 2, 2, 2, 2).sum(axis=(1, 3)), possession)
         assert cells.sum() == len(pairs) * size
+
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_each_worker_thread_reuses_its_sampler_buffers(self, n_workers):
+        """The sampler runs once per chunk, and every chunk of one thread
+        draws into the same buffers."""
+        calls = []
+
+        def sampler(rng, count, *, out=None):
+            calls.append((threading.get_ident(), tuple(id(buffer) for buffer in out)))
+            return sample_hidden_uniform(rng, count, out=out)
+
+        model = dataclasses.replace(gisin_gisin_model(), sampler=sampler)
+        setting = ChshSetting.tsirelson()
+        summary = run_experiment(model, chsh_pairs(setting), 5 * lhv.CHUNK_SIZE + 7, 3, n_workers)
+        plain = run_experiment(gisin_gisin_model(), chsh_pairs(setting), 5 * lhv.CHUNK_SIZE + 7, 3)
+        np.testing.assert_array_equal(summary.tallies, plain.tallies)
+        assert len(calls) == 6
+        buffers_by_thread = {}
+        for thread, buffers in calls:
+            assert buffers_by_thread.setdefault(thread, buffers) == buffers
 
 
 class _Merged:
