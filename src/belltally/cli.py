@@ -356,9 +356,9 @@ def _scan_csv(scan: tuple) -> Iterator[str]:
     widths = [angle.shape[1]] * 4 + [cells.shape[1] for cells in (pa, pap, pb, pbp)]
     edges = list(accumulate(widths + [9, 9, 9, flags.shape[1]], initial=0))
     a, ap, b, bp, pd_a, pd_ap, pd_b, pd_bp, *numbers, flag = map(slice, edges, edges[1:])
-    rows = np.zeros((0, edges[-1]), np.uint8)
+    rows = None
     for ia, aps, standard, modified, bound, standard_violated, modified_violated in slabs:
-        if not len(rows):
+        if rows is None:
             rows = np.zeros((standard.size, edges[-1]), np.uint8)
             ib, ibp = np.divmod(np.arange(standard.size) % (n * n), n)
             rows[:, b], rows[:, bp] = angle[ib], angle[ibp]
@@ -368,9 +368,8 @@ def _scan_csv(scan: tuple) -> Iterator[str]:
         blocks = slab.reshape(len(standard), n * n, -1)  # [a', (b, b'), byte]
         slab[:, a], blocks[:, :, ap] = angle[ia], angle[aps, None]
         slab[:, pd_a], blocks[:, :, pd_ap] = pa[ia], pap[aps, None]
-        digits = _fixed6(np.stack((standard, modified, bound), axis=-1).reshape(-1, 3))
-        for k, column in enumerate(numbers):
-            slab[:, column.start : column.stop - 1] = digits[:, k]
+        for values, column in zip((standard, modified, bound), numbers):
+            slab[:, column.start : column.stop - 1] = _fixed6(values.reshape(-1))
         slab[:, flag] = flags.take((2 * standard_violated + modified_violated).ravel(), axis=0)
         yield slab.tobytes().replace(b"\0", b"").decode("ascii")
 
