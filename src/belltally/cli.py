@@ -310,17 +310,19 @@ def _fixed6(x: np.ndarray) -> np.ndarray:
     Like Python's, the digits are correctly rounded, ties to even.  x must
     lie in [0, 9.9999995], where every value prints as d.dddddd, or this
     raises.  A Veltkamp split of x into halves of at most 26 bits gives the
-    error of p = x * 1e6 exactly, since 1e6 has 14; where p is a
-    half-integer, the error's sign breaks the tie np.rint breaks to even.
+    error of p = x * 1e6 exactly, since 1e6 has 14; only where p is a
+    half-integer is it needed, its sign breaking np.rint's tie to even.
     """
     if np.signbit(x).any() or not (x <= 9.9999995).all():
         raise InputValidationError("fixed-point cells must lie in [0, 9.9999995]")
-    p, c = x * 1e6, x * 134217729.0
+    p = x * 1e6
+    q = np.rint(p)
+    tied = np.abs(p - q) == 0.5
+    x, p, tie = x[tied], p[tied], p[tied] - q[tied]
+    c = x * 134217729.0
     high = c - (c - x)
     error = (high * 1e6 - p) + (x - high) * 1e6
-    q = np.rint(p)
-    tie = p - q
-    q += 2.0 * tie * ((np.abs(tie) == 0.5) & (tie * error > 0.0))
+    q[tied] += 2.0 * tie * (tie * error > 0.0)
     lead, tail = np.divmod(q.astype(np.int64), 10**4)
     leads, tails = _digit_words()
     return np.stack((leads.take(lead), tails.take(tail)), axis=-1).view(np.uint8)
@@ -337,40 +339,41 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 def _scan_csv(scan: tuple) -> Iterator[str]:
     """The rows of a _scan_grid scan as CSV text, one chunk per slab.
 
-    A slab of k (a, a') blocks is a (k*n*n, W) byte matrix of left-aligned,
-    NUL-padded column segments: the a cell, the a' cells, a (b, b') table
-    tiled k times, the pd_a and pd_a' cells, a tiled (pd_b, pd_b') table,
-    three _fixed6 number fields and a flag-pair table whose rows end in a
-    newline.  It is laid out once, for the first and largest slab, of at most
-    max(_SLAB_ROWS, n**2) rows.  Dropping the NULs leaves the rows.
+    A slab of k (a, a') blocks is one record per row of left-aligned,
+    NUL-padded byte fields: the a and a' cells, a (b, b') table tiled k
+    times, the pd_a and pd_a' cells, a tiled (pd_b, pd_b') table, three
+    _fixed6 numbers each before a comma and a flag pair ending in a newline.
+    The records are laid out once, for the first and largest slab, of at
+    most max(_SLAB_ROWS, n**2) rows.  Dropping the NULs leaves the rows.
     """
-    def padded(cells: list[str]) -> np.ndarray:  # one row per cell
-        encoded = np.array([cell.encode("ascii") for cell in cells])
-        return encoded.view(np.uint8).reshape(len(cells), -1)
+    def cells(texts: list[str]) -> np.ndarray:  # NUL-padded to the longest
+        return np.array([text.encode("ascii") for text in texts])
 
     directions, probs, _, slabs = scan
     n = len(directions)
-    angle = padded([_fmt(d.plane_angle_deg()) + "," for d in directions])
-    pa, pap, pb, pbp = (padded([_fmt(p) + "," for p in role]) for role in probs)
-    flags = padded([f"{s},{m}\n" for s in ("false", "true") for m in ("false", "true")])
-    widths = [angle.shape[1]] * 4 + [cells.shape[1] for cells in (pa, pap, pb, pbp)]
-    edges = list(accumulate(widths + [9, 9, 9, flags.shape[1]], initial=0))
-    a, ap, b, bp, pd_a, pd_ap, pd_b, pd_bp, *numbers, flag = map(slice, edges, edges[1:])
+    angle = cells([_fmt(d.plane_angle_deg()) + "," for d in directions])
+    pa, pap, pb, pbp = (cells([_fmt(p) + "," for p in role]) for role in probs)
+    flags = cells([f"{s},{m}\n" for s in ("false", "true") for m in ("false", "true")])
+    formats = [angle.dtype] * 4 + [c.dtype for c in (pa, pap, pb, pbp)] + ["S8"] * 3
+    widths = [f.itemsize for f in formats[:8]] + [9, 9, 9, flags.itemsize]
+    edges = list(accumulate(widths, initial=0))
+    names = [*SCAN_COLUMNS[:11], "flags"]
+    record = np.dtype({"names": names, "formats": [*formats, flags.dtype], "offsets": edges[:-1]})
     rows = None
     for ia, aps, standard, modified, bound, standard_violated, modified_violated in slabs:
         if rows is None:
-            rows = np.zeros((standard.size, edges[-1]), np.uint8)
+            rows = np.zeros(standard.size, record)
             ib, ibp = np.divmod(np.arange(standard.size) % (n * n), n)
-            rows[:, b], rows[:, bp] = angle[ib], angle[ibp]
-            rows[:, pd_b], rows[:, pd_bp] = pb[ib], pbp[ibp]
-            rows[:, [column.stop - 1 for column in numbers]] = ord(",")
+            rows["b_deg"], rows["bprime_deg"] = angle[ib], angle[ibp]
+            rows["pd_b"], rows["pd_bprime"] = pb[ib], pbp[ibp]
+            rows.view(np.uint8).reshape(len(rows), -1)[:, [e - 1 for e in edges[9:12]]] = ord(",")
         slab = rows[: standard.size]
-        blocks = slab.reshape(len(standard), n * n, -1)  # [a', (b, b'), byte]
-        slab[:, a], blocks[:, :, ap] = angle[ia], angle[aps, None]
-        slab[:, pd_a], blocks[:, :, pd_ap] = pa[ia], pap[aps, None]
-        for values, column in zip((standard, modified, bound), numbers):
-            slab[:, column.start : column.stop - 1] = _fixed6(values.reshape(-1))
-        slab[:, flag] = flags.take((2 * standard_violated + modified_violated).ravel(), axis=0)
+        blocks = slab.reshape(len(standard), n * n)
+        slab["a_deg"], blocks["aprime_deg"] = angle[ia], angle[aps, None]
+        slab["pd_a"], blocks["pd_aprime"] = pa[ia], pap[aps, None]
+        for name, values in zip(names[8:11], (standard, modified, bound)):
+            slab[name] = _fixed6(values.reshape(-1)).view("S8")[:, 0]
+        slab["flags"] = flags[(2 * standard_violated + modified_violated).ravel()]
         yield slab.tobytes().replace(b"\0", b"").decode("ascii")
 
 

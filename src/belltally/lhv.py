@@ -20,15 +20,14 @@ any trial count.
 
 Tally scheme
 ------------
-A chunk is sampled once, into buffers each worker thread reuses for every
-chunk (so no chunk faults in fresh pages), then evaluated in row blocks of
-16384 trials whose temporaries the allocator reuses.  Within a block each
-side evaluates its possession and detection callables once per distinct
-direction and encodes every trial as a 2-bit code, 2 * detected +
-(possessed value > 0).  Each pair then adds one 16-bin bincount over
-(A code, B code) per block into the chunk's integer cells; the 3x3
-registered-outcome tally and the 2x2 possession tally are both sums over
-those 16 cells.
+A chunk is sampled once, into buffers its worker thread reuses for every
+chunk, then evaluated in row blocks of 16384 trials whose temporaries the
+allocator reuses.  Within a block each side evaluates its possession and
+detection callables once per distinct direction and encodes every trial as
+a 2-bit code, 2 * detected + (possessed value > 0).  Each pair then adds
+one 16-bin bincount over (A code, B code) per block into the chunk's
+integer cells; the 3x3 registered-outcome tally and the 2x2 possession
+tally are both sums over those 16 cells.
 
 The reference detection-loophole model (``gisin_gisin_model``) registers
 A = sign(a.lam) with probability |a.lam| and always registers
@@ -82,7 +81,6 @@ _CODE_TO_OUTCOME = np.array([[0, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=
 
 
 def _sampler_buffers(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # sample_hidden_uniform's draws, axes and per-block scratch for count rows.
     return np.empty((count, 4)), np.empty((count, 3)), np.empty((3, min(count, _BLOCK)))
 
 
@@ -93,8 +91,8 @@ def sample_hidden_uniform(
 
     Draw order is fixed (z, azimuth, u_a, u_b per trial) so samples are a
     pure function of the generator state; filling axes in row blocks keeps it.
-    out, if given, holds buffers from _sampler_buffers(n) for some n >= count;
-    the results are then views of it.  Otherwise every call returns new arrays.
+    out, if given, is the (draws, axes, scratch) of _sampler_buffers(n) for an
+    n >= count, and the results are views of it; otherwise they are new arrays.
     """
     draws, axes, scratch = _sampler_buffers(count) if out is None else out
     draws, axes = draws[:count], axes[:count]
