@@ -20,6 +20,7 @@ import belltally
 from belltally import (
     ChshSetting,
     DetectionModel,
+    Direction,
     InputValidationError,
     angle_scan,
     detection_bound,
@@ -28,8 +29,10 @@ from belltally import (
     modified_chsh_lhs,
     simulate_chsh,
     singlet_state,
+    spin_label,
 )
-from belltally.cli import _fixed6, main
+from belltally import chsh
+from belltally.cli import _fixed6, _scan_csv, main
 
 TSIRELSON_VECTORS = (
     "0,0,1;1,0,0;"
@@ -215,6 +218,27 @@ class TestScan:
             expected.append(",".join(["%.6f" % v for v in cells] + flags))
         assert len(expected) == 10**4
         assert out.split("\n", 1)[1] == "".join(row + "\n" for row in expected)
+
+    @pytest.mark.parametrize("slab_angles", [3, 8])
+    def test_csv_renderer_formats_per_angle_probabilities(self, monkeypatch, slab_angles):
+        """With detection keyed by spin label, pd_a and pd_a' vary along the
+        grid, which no command line input gives; every slab of 3 (not
+        dividing 8) or 8 a' angles renders each row's own '%.6f' cells."""
+        monkeypatch.setattr(chsh, "_SLAB_ROWS", slab_angles * 64)
+        roles = ("a", "a_prime", "b", "b_prime")
+        entries = {("singlet", role): p for role, p in zip(roles, (0.9, 0.8, 0.85, 0.95))}
+        for angle, subsystem, p in ((45.0, 1, 0.5), (270.0, 1, 0.6), (90.0, 2, 0.7)):
+            entries[("singlet", spin_label(Direction.from_plane_degrees(angle), subsystem))] = p
+        det = DetectionModel(entries=entries)
+        text = "".join(_scan_csv(chsh._scan_grid(singlet_state(), det, math.pi / 4.0)))
+        expected = []
+        for r in angle_scan(singlet_state(), det, math.pi / 4.0):
+            cells = [*r.setting.plane_angles_deg(), *r.detection_probs]
+            cells += [r.standard_lhs, r.modified_lhs, r.bound]
+            flags = [str(r.standard_violated).lower(), str(r.modified_violated).lower()]
+            expected.append(",".join(["%.6f" % v for v in cells] + flags) + "\n")
+        assert len({row.split(",")[5] for row in expected}) > 1
+        assert text == "".join(expected)
 
     @needs_wait4
     def test_csv_scan_memory_stays_near_a_bare_import(self):
