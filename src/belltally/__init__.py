@@ -15,20 +15,14 @@ from .chsh import (
     min_detection_bound,
     modified_chsh_lhs,
     modified_lhs_grid_max,
-    optimize_chsh_angles,
     standard_chsh_lhs,
 )
 from .detection import (
     DetectionModel,
-    GeneralizedExpectation,
     GeneralizedObservable,
     OutcomeDistribution,
     generalized_correlation,
-    generalized_expectation,
-    joint_detection_probability,
-    outcome_distribution,
     sequential_distribution_factored,
-    sequential_distribution_general,
 )
 from .errors import (
     BelltallyError,
@@ -47,7 +41,6 @@ from .lhv import (
     constant_model,
     fair_sampling_check,
     gisin_gisin_model,
-    micro_observable_expectation,
     mixture_probabilities,
     random_microstate_model,
     run_experiment,
@@ -66,7 +59,6 @@ from .quantum import (
     acting_subsystem,
     born_joint_probability,
     born_probability,
-    luders_update,
     observables_commute,
     quantum_expectation_product,
     singlet_state,

@@ -172,23 +172,6 @@ def resolve_setting_detection(
     )  # type: ignore[return-value]
 
 
-def _resolve_role_detection(
-    det: DetectionModel, state_label: str
-) -> tuple[float, float, float, float]:
-    # Direction-independent resolution (role alias or default only), for
-    # paths where the directions vary continuously.
-    values = []
-    for role, _ in _ROLES:
-        try:
-            values.append(det.probability(state_label, role))
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"cannot resolve a direction-independent detection probability for "
-                f"role {role!r}: {exc}"
-            ) from None
-    return tuple(values)  # type: ignore[return-value]
-
-
 def modified_chsh_lhs(
     setting: ChshSetting, state: DensityState, det: DetectionModel
 ) -> ChshReport:
@@ -289,10 +272,14 @@ def _correlations(tensor: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
     return left @ tensor @ right.T
 
 
-def _dot_matrix(directions: Sequence[Direction]) -> np.ndarray:
-    # Every a.b, summed elementwise in Direction.dot's order: a.dot(b) to the bit.
-    x, y, z = (np.array(v)[:, None] for v in zip(*((d.x, d.y, d.z) for d in directions)))
-    return x * x.T + y * y.T + z * z.T
+def _dot_matrix(angles_rad: Sequence[float]) -> np.ndarray:
+    # Every a.b of the in-plane directions at angles_rad, from
+    # Direction.in_plane's components and summed in Direction.dot's order:
+    # Direction.in_plane(t).dot(Direction.in_plane(u)) to the bit.  The 0.0 is
+    # the y term, which turns a -0.0 product into +0.0 as dot does.
+    x = np.array([math.sin(t) for t in angles_rad])[:, None]
+    z = np.array([math.cos(t) for t in angles_rad])[:, None]
+    return x * x.T + 0.0 + z * z.T
 
 
 def _plane_components(angles_rad: np.ndarray) -> np.ndarray:
@@ -344,80 +331,10 @@ def min_detection_bound(grid_step_deg: float = 1.0) -> float:
     of which only b' >= b is evaluated, in O(N^3 / 2).
     """
     angles = _grid_angles_deg(grid_step_deg)
-    dots = _dot_matrix([Direction.from_plane_degrees(v) for v in angles.tolist()])
+    dots = _dot_matrix([math.radians(v) for v in angles.tolist()])
     left = dots[:, :1] if len(angles) * grid_step_deg == 360.0 else dots
     _, denominator = _grid_max(left, dots, 1.0, 1.0)
     return float(_bound_from_denominator(denominator))
-
-
-# The two-angle pattern search stops once its step falls below this many
-# degrees; the reduced objective is smooth near its maximum, so the value has
-# then converged far below 1e-12.
-_PATTERN_STEP_FLOOR_DEG = 1e-9
-_PATTERN_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-
-
-def optimize_chsh_angles(
-    state: DensityState,
-    det: DetectionModel | None,
-    objective: str = "standard",
-    *,
-    grid_step_deg: float = 10.0,
-) -> tuple[ChshSetting, float]:
-    """Deterministically maximize a functional over coplanar settings.
-
-    For fixed b and b' the maximum over a and a' is analytic.  With M the
-    x-z block of the correlation tensor, the functional reaches
-    p_a |M(p_b b - p_b' b')| + p_a' |M(p_b b + p_b' b')| when a and a' point
-    along those two vectors.  The remaining two angles are searched on the
-    grid_step_deg grid, then by a pattern search whose step halves from
-    grid_step_deg down to 1e-9 degrees.  objective "standard" maximizes the
-    unweighted functional; "modified" weights each correlation by
-    direction-independent detection probabilities resolved from det.  The
-    returned value is the functional evaluated at the returned setting.
-    """
-    if objective not in ("standard", "modified"):
-        raise InputValidationError(f"unknown objective {objective!r}")
-    if objective == "modified":
-        if det is None:
-            raise InputValidationError("objective 'modified' requires a detection model")
-        weights = _resolve_role_detection(det, state.label)
-    else:
-        weights = (1.0, 1.0, 1.0, 1.0)
-    block = _plane_block(state)
-    pa, pap, pb, pbp = weights
-
-    def images(points_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Columns M(p_b b - p_b' b') and M(p_b b + p_b' b') for each (b, b')
-        # row; the x and z axes as left directions read both components off
-        # the kernel.
-        b = pb * _plane_components(np.radians(points_deg[:, 0]))
-        b_prime = pbp * _plane_components(np.radians(points_deg[:, 1]))
-        return (
-            _correlations(block, np.eye(2), b - b_prime),
-            _correlations(block, np.eye(2), b + b_prime),
-        )
-
-    # The first pass scores the whole (b, b') grid; each later pass scores
-    # the four pattern moves around the best point so far.
-    angles = _grid_angles_deg(grid_step_deg)
-    candidates = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(-1, 2)
-    best, step = -np.inf, float(grid_step_deg)
-    while step >= _PATTERN_STEP_FLOOR_DEG:
-        minus, plus = images(candidates)
-        values = pa * np.hypot(*minus) + pap * np.hypot(*plus)
-        k = int(np.argmax(values))
-        if values[k] > best:
-            point, best = candidates[k], values[k]
-        else:
-            step /= 2.0
-        candidates = point + step * _PATTERN_MOVES
-
-    minus, plus = images(point[None, :])
-    a_deg, a_prime_deg = np.degrees(np.arctan2(*np.hstack([minus, plus]))) % 360.0
-    b_deg, b_prime_deg = point % 360.0
-    setting = ChshSetting.from_plane_angles(a_deg, a_prime_deg, b_deg, b_prime_deg)
-    return setting, _combination(*conditional_expectations(state, setting), weights)
 
 
 def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tuple:
@@ -437,7 +354,8 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tu
     outside = np.abs(corr) > 1.0 + 1e-9
     if outside.any():
         raise InputValidationError(f"correlation {float(corr[outside][0])!r} lies outside [-1, 1]")
-    directions = [Direction.in_plane(theta) for theta in angles.tolist()]
+    radians = angles.tolist()
+    directions = [Direction.in_plane(theta) for theta in radians]
     probs = []
     for role, subsystem in _ROLES:
         try:
@@ -446,7 +364,7 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tu
             )
         except ConfigurationError as exc:
             raise ConfigurationError(f"scan cannot resolve role {role!r}: {exc}") from None
-    return directions, probs, corr, _scan_slabs(corr, _dot_matrix(directions), probs)
+    return directions, probs, corr, _scan_slabs(corr, _dot_matrix(radians), probs)
 
 
 def _scan_slabs(

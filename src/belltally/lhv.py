@@ -270,32 +270,6 @@ def mixture_probabilities(ensemble: MicrostateEnsemble) -> MixtureProbabilities:
     return MixtureProbabilities(absolute, detection, absolute / detection)
 
 
-def micro_observable_expectation(
-    weights: Sequence[float],
-    outcomes: Sequence[float],
-    possession: Sequence[Sequence[float]],
-) -> float:
-    """Expectation of a microscopic observable over a microstate mixture.
-
-    possession[n][i] is the 0/1 indicator that microstate i possesses
-    outcome n; each microstate must possess exactly one outcome.
-    """
-    w = np.asarray(weights, dtype=float)
-    values = np.asarray(outcomes, dtype=float)
-    poss = np.asarray(possession, dtype=float)
-    if w.ndim != 1 or np.any(w < 0.0) or abs(w.sum() - 1.0) > ALGEBRA_TOL:
-        raise InputValidationError("weights must be a distribution")
-    if poss.shape != (len(values), len(w)):
-        raise InputValidationError(
-            f"possession must have shape {(len(values), len(w))}, got {poss.shape}"
-        )
-    if not np.all((poss == 0.0) | (poss == 1.0)):
-        raise InputValidationError("possession entries must be 0 or 1")
-    if not np.all(poss.sum(axis=0) == 1.0):
-        raise InputValidationError("each microstate must possess exactly one outcome")
-    return float(values @ (poss @ w))
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationSummary:
     """Registered-outcome tallies for one experiment.

@@ -1,4 +1,4 @@
-"""Two-qubit states, spin observables, Born probabilities, projective updates.
+"""Two-qubit states, spin observables and Born probabilities.
 
 Conventions
 -----------
@@ -10,8 +10,7 @@ Conventions
 * States are density operators: Hermitian, unit trace, positive semidefinite
   up to a small numerical floor.
 * Joint probabilities follow the Born rule Tr[rho P1 P2] and are only defined
-  for commuting projector families; post-measurement states follow the
-  projective (Lueders) update P rho P / Tr[rho P].
+  for commuting projector families.
 
 Algebraic identities are enforced at tolerance 1e-12; the positive
 semidefiniteness floor is -1e-10 on the smallest eigenvalue.
@@ -24,13 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputValidationError, ZeroProbabilityError
+from .errors import InputValidationError
 
 ALGEBRA_TOL = 1e-12
 PSD_FLOOR = -1e-10
-
-# Branch probabilities at or below this are treated as zero for conditioning.
-ZERO_BRANCH = 1e-14
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -246,30 +242,6 @@ def quantum_expectation_product(
         for b_value, b_proj in zip(obs2.outcomes, obs2.projectors):
             total += a_value * b_value * float(np.trace(state.matrix @ a_proj @ b_proj).real)
     return total
-
-
-def luders_update(
-    state: DensityState, projector: np.ndarray, label: str | None = None
-) -> DensityState:
-    """Post-measurement state P rho P / Tr[rho P].
-
-    Raises ZeroProbabilityError when the branch probability vanishes.
-    """
-    proj = np.asarray(projector, dtype=complex)
-    if proj.shape != (4, 4):
-        raise InputValidationError(f"projector must be 4x4, got {proj.shape}")
-    if np.max(np.abs(proj - proj.conj().T)) > ALGEBRA_TOL:
-        raise InputValidationError("projector is not Hermitian")
-    if np.max(np.abs(proj @ proj - proj)) > ALGEBRA_TOL:
-        raise InputValidationError("projector is not idempotent")
-    weight = float(np.trace(state.matrix @ proj).real)
-    if weight <= ZERO_BRANCH:
-        raise ZeroProbabilityError(
-            f"cannot condition state {state.label!r} on a branch of probability {weight:.3e}"
-        )
-    updated = proj @ state.matrix @ proj / weight
-    updated = (updated + updated.conj().T) / 2.0
-    return DensityState(updated, label if label is not None else f"{state.label}|post")
 
 
 def acting_subsystem(observable: ProjectiveObservable) -> int | None:

@@ -27,7 +27,6 @@ from belltally import (
     min_detection_bound,
     modified_chsh_lhs,
     modified_lhs_grid_max,
-    optimize_chsh_angles,
     singlet_state,
     spin_label,
     spin_observable,
@@ -58,6 +57,11 @@ def plane_correlations(state: DensityState, angles_deg) -> np.ndarray:
     return np.array(
         [[quantum_expectation_product(state, oa, ob) for ob in obs_2] for oa in obs_1]
     )
+
+
+def direction_dots(directions) -> np.ndarray:
+    """Reference for _dot_matrix: every a.b by Direction.dot."""
+    return np.array([[a.dot(b) for b in directions] for a in directions])
 
 
 def brute_force_grid_max(corr: np.ndarray, weights=(1.0, 1.0, 1.0, 1.0)) -> float:
@@ -328,7 +332,7 @@ class TestDetectionBound:
         monkeypatch.setattr(chsh, "_grid_max", recorder)
         min_detection_bound(step)
         [(left, right)] = calls
-        dots = _dot_matrix([Direction.from_plane_degrees(v) for v in _grid_angles_deg(step)])
+        dots = _dot_matrix([math.radians(v) for v in _grid_angles_deg(step).tolist()])
         assert left.shape == (len(dots), columns)
         assert np.array_equal(left, dots[:, :columns])
         assert np.array_equal(right, dots)
@@ -336,6 +340,14 @@ class TestDetectionBound:
     def test_invalid_grid_step(self):
         with pytest.raises(InputValidationError):
             min_detection_bound(0.0)
+
+    @pytest.mark.parametrize("step", [1.0, 0.25, 7.0, 13.0, 15.0])
+    def test_dot_matrix_matches_direction_dot(self, step):
+        """_dot_matrix from radians equals Direction.dot on the in-plane
+        directions byte for byte, signs of zeros included."""
+        radians = [math.radians(v) for v in _grid_angles_deg(step).tolist()]
+        expected = direction_dots([Direction.in_plane(t) for t in radians])
+        assert _dot_matrix(radians).tobytes() == expected.tobytes()
 
 
 class TestGridMax:
@@ -380,7 +392,7 @@ class TestGridMax:
         angles = np.radians(_grid_angles_deg(step))
         columns = None
         if matrix == "column":
-            corr = _dot_matrix([Direction.in_plane(v) for v in angles.tolist()])
+            corr = _dot_matrix(angles.tolist())
             columns = 1
         elif matrix == "cosine":
             corr = np.cos(angles[:, None] - angles[None, :])
@@ -404,6 +416,18 @@ class TestGridMax:
             left, right = pb * corr[:, :columns], pbp * corr
             assert _grid_max(left, right, pa, pap) == row_loop_grid_max(left, right, pa, pap)
 
+    def test_never_beats_the_plane_ceiling(self):
+        """Closed-form ceiling for coplanar settings: twice the root of the
+        summed squared singular values of the in-plane correlation matrix.
+        The 5-degree grid maximum lies just below it."""
+        rng = np.random.default_rng(107)
+        for _ in range(20):
+            state = random_density_state(rng)
+            block = plane_correlations(state, (90.0, 0.0))
+            ceiling = 2.0 * math.sqrt(float((np.linalg.svd(block, compute_uv=False) ** 2).sum()))
+            _, value = modified_lhs_grid_max(state, 1.0, 5.0)
+            assert 0.0 <= ceiling - value <= 1e-3
+
     def test_singlet_fine_grid_reaches_tsirelson(self):
         _, value = modified_lhs_grid_max(singlet_state(), 1.0, 5.0)
         assert value == pytest.approx(TSIRELSON, abs=1e-12)
@@ -419,76 +443,6 @@ class TestGridMax:
             modified_lhs_grid_max(singlet_state(), (0.9, 0.9), 15.0)
         with pytest.raises(InputValidationError):
             modified_lhs_grid_max(singlet_state(), 1.2, 15.0)
-
-
-class TestOptimizer:
-    def test_singlet_standard_optimum(self):
-        _, value = optimize_chsh_angles(singlet_state(), None, "standard")
-        assert value == pytest.approx(TSIRELSON, abs=1e-6)
-
-    def test_product_state_stays_classical(self):
-        state = DensityState(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), "up-up")
-        _, value = optimize_chsh_angles(state, None, "standard")
-        assert value <= 2.0 + 1e-9
-        assert value == pytest.approx(2.0, abs=1e-9)
-
-    def test_modified_objective_scales(self):
-        det = DetectionModel.uniform(0.5)
-        _, value = optimize_chsh_angles(singlet_state(), det, "modified")
-        assert value == pytest.approx(0.25 * TSIRELSON, abs=1e-6)
-
-    def test_never_beats_the_plane_ceiling(self):
-        """Closed-form ceiling for coplanar settings: twice the root of the
-        summed squared singular values of the in-plane correlation matrix."""
-        rng = np.random.default_rng(107)
-        for _ in range(3):
-            state = random_density_state(rng)
-            block = plane_correlations(state, (90.0, 0.0))
-            ceiling = 2.0 * math.sqrt(float((np.linalg.svd(block, compute_uv=False) ** 2).sum()))
-            setting, value = optimize_chsh_angles(state, None, "standard")
-            assert value <= ceiling + 1e-9
-            achieved = standard_chsh_lhs(*conditional_expectations(state, setting))
-            assert achieved == value
-
-    def test_refinement_lands_between_grid_and_ceiling(self):
-        """The refined value dominates the fine grid but cannot pass the
-        closed-form continuum maximum."""
-        rng = np.random.default_rng(109)
-        state = random_density_state(rng)
-        _, value = optimize_chsh_angles(state, None, "standard")
-        _, fine = modified_lhs_grid_max(state, 1.0, 1.0)
-        block = plane_correlations(state, (90.0, 0.0))
-        ceiling = 2.0 * math.sqrt(float((np.linalg.svd(block, compute_uv=False) ** 2).sum()))
-        assert fine - 1e-9 <= value <= ceiling + 1e-9
-
-    def test_modified_objective_unequal_weights(self):
-        """With unequal role weights the optimum dominates the fine four-angle
-        grid, and the returned value is the functional at the returned
-        setting."""
-        rng = np.random.default_rng(127)
-        roles = ("a", "a_prime", "b", "b_prime")
-        for _ in range(3):
-            state = random_density_state(rng)
-            weights = tuple(float(w) for w in rng.uniform(0.2, 1.0, size=4))
-            det = DetectionModel(entries={("random", r): w for r, w in zip(roles, weights)})
-            setting, value = optimize_chsh_angles(state, det, "modified")
-            _, fine = modified_lhs_grid_max(state, weights, 1.0)
-            assert value >= fine - 1e-9
-            direct = modified_chsh_lhs(setting, state, det).modified_lhs
-            assert value == direct
-
-    def test_deterministic(self):
-        state = singlet_state()
-        first = optimize_chsh_angles(state, None, "standard")
-        second = optimize_chsh_angles(state, None, "standard")
-        assert first[1] == second[1]
-        assert first[0].plane_angles_deg() == second[0].plane_angles_deg()
-
-    def test_objective_validation(self):
-        with pytest.raises(InputValidationError):
-            optimize_chsh_angles(singlet_state(), None, "best")
-        with pytest.raises(InputValidationError):
-            optimize_chsh_angles(singlet_state(), None, "modified")
 
 
 def reference_scan_blocks(corr, dots, probs):
@@ -612,7 +566,7 @@ class TestScanSlabs:
         det = DetectionModel(entries=entries, apparatus_factor=0.97)
         directions, probs, corr, slabs = chsh._scan_grid(state, det, math.pi / 4.0)
         n = len(directions)
-        reference = reference_scan_blocks(corr, _dot_matrix(directions), probs)
+        reference = reference_scan_blocks(corr, direction_dots(directions), probs)
         runs = []
         for ia, aps, *columns in slabs:
             runs.append((ia, aps.start, aps.stop))

@@ -11,7 +11,6 @@ import pytest
 
 from belltally import (
     ConfigurationError,
-    DensityState,
     DetectionModel,
     Direction,
     GeneralizedObservable,
@@ -22,12 +21,8 @@ from belltally import (
     born_joint_probability,
     born_probability,
     generalized_correlation,
-    generalized_expectation,
-    joint_detection_probability,
-    outcome_distribution,
     quantum_expectation_product,
     sequential_distribution_factored,
-    sequential_distribution_general,
     singlet_state,
     spin_observable,
 )
@@ -82,108 +77,15 @@ class TestDetectionModel:
 class TestOutcomeDistributionType:
     def test_rejects_bad_total(self):
         with pytest.raises(InputValidationError):
-            OutcomeDistribution(((1.0, 0.6), (-1.0, 0.3)), "single")
+            OutcomeDistribution((((1.0, 1.0), 0.6), ((-1.0, 1.0), 0.3)))
 
     def test_rejects_duplicates(self):
         with pytest.raises(InputValidationError):
-            OutcomeDistribution(((1.0, 0.5), (1.0, 0.5)), "single")
+            OutcomeDistribution((((1.0, 1.0), 0.5), ((1.0, 1.0), 0.5)))
 
     def test_rejects_negative_probability(self):
         with pytest.raises(InputValidationError):
-            OutcomeDistribution(((1.0, 1.1), (-1.0, -0.1)), "single")
-
-    def test_kind_guards(self):
-        single = OutcomeDistribution(((1.0, 1.0),), "single")
-        with pytest.raises(InputValidationError):
-            single.product_mean()
-        pair = OutcomeDistribution((((1.0, 1.0), 1.0),), "sequential")
-        with pytest.raises(InputValidationError):
-            pair.mean()
-
-
-class TestJointDetectionProbability:
-    def test_arithmetic(self):
-        assert joint_detection_probability(0.5, 1.0) == 0.5
-        assert joint_detection_probability(0.7, 0.0) == 0.0
-        assert joint_detection_probability(0.5, 0.8) == pytest.approx(0.4)
-
-    def test_range_validation(self):
-        with pytest.raises(InputValidationError):
-            joint_detection_probability(1.5, 0.5)
-        with pytest.raises(InputValidationError):
-            joint_detection_probability(0.5, -0.1)
-
-
-class TestOutcomeDistribution:
-    def test_perfect_detection_reduces_to_born(self):
-        dist = outcome_distribution(singlet_state(), spin_z1(), DetectionModel.uniform(1.0))
-        assert dist.probability(1.0) == pytest.approx(0.5, abs=1e-12)
-        assert dist.probability(-1.0) == pytest.approx(0.5, abs=1e-12)
-        assert dist.probability(0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_partial_detection(self):
-        """0.8 detection on symmetric Born marginals: 0.4 / 0.4 / 0.2."""
-        dist = outcome_distribution(singlet_state(), spin_z1(), DetectionModel.uniform(0.8))
-        assert dist.as_dict() == pytest.approx({1.0: 0.4, -1.0: 0.4, 0.0: 0.2})
-
-    def test_zero_detection(self):
-        dist = outcome_distribution(singlet_state(), spin_z1(), DetectionModel.uniform(0.0))
-        assert dist.probability(0.0) == 1.0
-
-    def test_registered_entries_factorize_exactly(self):
-        rng = np.random.default_rng(53)
-        for _ in range(20):
-            state = random_density_state(rng)
-            obs = GeneralizedObservable(spin_observable(random_direction(rng), 1))
-            p = rng.uniform(0.0, 1.0)
-            dist = outcome_distribution(state, obs, DetectionModel.uniform(p))
-            for value in obs.outcomes:
-                born = born_probability(state, obs.base, value)
-                assert dist.probability(value) == joint_detection_probability(born, p)
-            assert dist.total() == pytest.approx(1.0, abs=1e-12)
-
-    def test_missing_detection_entry(self):
-        with pytest.raises(ConfigurationError):
-            outcome_distribution(singlet_state(), spin_z1(), DetectionModel())
-
-
-class TestGeneralizedExpectation:
-    def test_perfect_detection_matches_quantum(self):
-        rng = np.random.default_rng(59)
-        for _ in range(10):
-            state = random_density_state(rng)
-            obs = GeneralizedObservable(spin_observable(random_direction(rng), 2))
-            result = generalized_expectation(state, obs, DetectionModel.uniform(1.0))
-            assert result.absolute == pytest.approx(result.conditional, abs=1e-12)
-
-    def test_scaling_with_certain_conditional(self):
-        # first qubit definitely down: conditional -1, absolute -0.841
-        state = DensityState(np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex), "down-up")
-        result = generalized_expectation(state, spin_z1(), DetectionModel.uniform(0.841))
-        assert result.conditional == pytest.approx(-1.0, abs=1e-12)
-        assert result.absolute == pytest.approx(-0.841, abs=1e-12)
-
-    def test_nonzero_no_registration_outcome(self):
-        """Outcome 5 for the undetected half of trials contributes 2.5;
-        cross-checked against the distribution mean."""
-        obs = GeneralizedObservable(spin_observable(Z_AXIS, 1), no_registration_outcome=5.0)
-        det = DetectionModel.uniform(0.5)
-        result = generalized_expectation(singlet_state(), obs, det)
-        assert result.conditional == pytest.approx(0.0, abs=1e-12)
-        assert result.absolute == pytest.approx(2.5, abs=1e-12)
-        dist = outcome_distribution(singlet_state(), obs, det)
-        assert dist.mean() == pytest.approx(result.absolute, abs=1e-12)
-
-    def test_absolute_is_detection_scaled_conditional(self):
-        rng = np.random.default_rng(61)
-        for _ in range(20):
-            state = random_density_state(rng)
-            obs = GeneralizedObservable(spin_observable(random_direction(rng), 1))
-            p = rng.uniform(0.0, 1.0)
-            result = generalized_expectation(state, obs, DetectionModel.uniform(p))
-            assert result.absolute == pytest.approx(p * result.conditional, abs=1e-12)
-            assert abs(result.absolute) <= abs(result.conditional) + 1e-12
-
+            OutcomeDistribution((((1.0, 1.0), 1.1), ((-1.0, 1.0), -0.1)))
 
 def _factored_inputs(rng):
     state = random_density_state(rng)
@@ -192,102 +94,6 @@ def _factored_inputs(rng):
     pa, pb = rng.uniform(0.0, 1.0, size=2)
     det = DetectionModel(entries={(state.label, "a"): pa, (state.label, "b"): pb})
     return state, obs_a, obs_b, pa, pb, det
-
-
-class TestSequentialGeneral:
-    def test_unit_detection_reduces_to_quantum_joint(self):
-        state = singlet_state()
-        obs_a = spin_z1()
-        obs_b = GeneralizedObservable(spin_observable(Z_AXIS, 2))
-        dist = sequential_distribution_general(
-            state,
-            obs_a,
-            obs_b,
-            detect_a=1.0,
-            detect_b_after={1.0: 1.0, -1.0: 1.0},
-            detect_b_after_none=1.0,
-            conditional_b_after_none={1.0: 0.5, -1.0: 0.5},
-        )
-        assert dist.probability((1.0, -1.0)) == pytest.approx(0.5, abs=1e-12)
-        assert dist.probability((1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
-        assert dist.total() == pytest.approx(1.0, abs=1e-12)
-
-    def test_double_no_registration_mass(self):
-        dist = sequential_distribution_general(
-            singlet_state(),
-            spin_z1(),
-            GeneralizedObservable(spin_observable(X_AXIS, 2)),
-            detect_a=0.8,
-            detect_b_after={1.0: 0.9, -1.0: 0.9},
-            detect_b_after_none=0.5,
-            conditional_b_after_none={1.0: 0.5, -1.0: 0.5},
-        )
-        assert dist.probability((0.0, 0.0)) == pytest.approx(0.2 * 0.5, abs=1e-12)
-
-    def test_rejects_non_distribution_tail(self):
-        with pytest.raises(InputValidationError):
-            sequential_distribution_general(
-                singlet_state(),
-                spin_z1(),
-                GeneralizedObservable(spin_observable(Z_AXIS, 2)),
-                detect_a=0.8,
-                detect_b_after={1.0: 0.9, -1.0: 0.9},
-                detect_b_after_none=0.5,
-                conditional_b_after_none={1.0: 0.6, -1.0: 0.3},
-            )
-
-    def test_rejects_missing_branch_detection(self):
-        with pytest.raises(InputValidationError):
-            sequential_distribution_general(
-                singlet_state(),
-                spin_z1(),
-                GeneralizedObservable(spin_observable(Z_AXIS, 2)),
-                detect_a=0.8,
-                detect_b_after={1.0: 0.9},
-                detect_b_after_none=0.5,
-                conditional_b_after_none={1.0: 0.5, -1.0: 0.5},
-            )
-
-    def test_impossible_first_branch_emits_zeros(self):
-        # pure up-down: spin z on qubit 1 never comes out -1
-        state = DensityState(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex), "up-down")
-        dist = sequential_distribution_general(
-            state,
-            spin_z1(),
-            GeneralizedObservable(spin_observable(Z_AXIS, 2)),
-            detect_a=1.0,
-            detect_b_after={1.0: 1.0, -1.0: 1.0},
-            detect_b_after_none=1.0,
-            conditional_b_after_none={1.0: 0.5, -1.0: 0.5},
-        )
-        assert dist.probability((-1.0, 1.0)) == 0.0
-        assert dist.probability((-1.0, -1.0)) == 0.0
-        assert dist.total() == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_factored_form_under_its_assumptions(self):
-        """With outcome-independent second detection and Born margins for
-        the no-registration branch, the general form must reproduce the
-        factored one entry by entry."""
-        rng = np.random.default_rng(67)
-        for _ in range(10):
-            state, obs_a, obs_b, pa, pb, det = _factored_inputs(rng)
-            margins = {
-                v: born_probability(state, obs_b.base, v) for v in obs_b.outcomes
-            }
-            total = sum(margins.values())
-            margins = {v: p / total for v, p in margins.items()}
-            general = sequential_distribution_general(
-                state,
-                obs_a,
-                obs_b,
-                detect_a=pa,
-                detect_b_after={v: pb for v in obs_a.outcomes},
-                detect_b_after_none=pb,
-                conditional_b_after_none=margins,
-            )
-            factored = sequential_distribution_factored(state, obs_a, obs_b, det)
-            for key, prob in factored.as_dict().items():
-                assert general.probability(key) == pytest.approx(prob, abs=1e-12)
 
 
 class TestSequentialFactored:
@@ -373,8 +179,8 @@ class TestGeneralizedCorrelation:
             assert value == pytest.approx(table.product_mean(), abs=1e-12)
 
     def test_nonzero_no_registration_outcomes(self):
-        """The no-registration values weight the undetected branches; the
-        table mean stays the single source of truth."""
+        """The no-registration values weight the undetected branches, and the
+        correlation is the table's product mean, to the bit."""
         rng = np.random.default_rng(79)
         state = random_density_state(rng)
         obs_a = GeneralizedObservable(
@@ -386,7 +192,7 @@ class TestGeneralizedCorrelation:
         det = DetectionModel(entries={(state.label, "a"): 0.6, (state.label, "b"): 0.85})
         table = sequential_distribution_factored(state, obs_a, obs_b, det)
         value = generalized_correlation(state, obs_a, obs_b, det)
-        assert value == pytest.approx(table.product_mean(), abs=1e-12)
+        assert value == table.product_mean()
 
     def test_rejects_same_subsystem(self):
         with pytest.raises(InputValidationError):

@@ -31,7 +31,6 @@ from belltally import (
     fair_sampling_check,
     generalized_correlation,
     gisin_gisin_model,
-    micro_observable_expectation,
     mixture_probabilities,
     random_microstate_model,
     run_experiment,
@@ -182,26 +181,6 @@ class TestMixtureProbabilities:
             MicrostateEnsemble((0.5, 0.5), (1.0, 1.2), (1.0, 0.0))
         with pytest.raises(InputValidationError):
             MicrostateEnsemble((0.5, 0.5), (1.0, 1.0), (0.5, 0.5))
-
-
-class TestMicroObservableExpectation:
-    def test_symmetric_two_state(self):
-        value = micro_observable_expectation((0.5, 0.5), (1.0, -1.0), [[1, 0], [0, 1]])
-        assert value == 0.0
-
-    def test_weighted_two_state(self):
-        value = micro_observable_expectation((0.3, 0.7), (1.0, -1.0), [[1, 0], [0, 1]])
-        assert value == pytest.approx(-0.4, abs=1e-12)
-
-    def test_rejects_non_partition(self):
-        with pytest.raises(InputValidationError):
-            micro_observable_expectation((0.5, 0.5), (1.0, -1.0), [[1, 1], [0, 1]])
-        with pytest.raises(InputValidationError):
-            micro_observable_expectation((0.5, 0.5), (1.0, -1.0), [[1, 0], [0, 0]])
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(InputValidationError):
-            micro_observable_expectation((0.5, 0.6), (1.0, -1.0), [[1, 0], [0, 1]])
 
 
 class TestGisinGisinModel:

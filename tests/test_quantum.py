@@ -9,11 +9,9 @@ from belltally import (
     InputValidationError,
     X_AXIS,
     Z_AXIS,
-    ZeroProbabilityError,
     acting_subsystem,
     born_joint_probability,
     born_probability,
-    luders_update,
     observables_commute,
     quantum_expectation_product,
     singlet_state,
@@ -270,63 +268,6 @@ class TestQuantumExpectationProduct:
             quantum_expectation_product(
                 singlet_state(), spin_observable(Z_AXIS, 1), spin_observable(X_AXIS, 1)
             )
-
-
-class TestLudersUpdate:
-    def test_singlet_collapse(self):
-        """Projecting the singlet on spin-up along z for the first qubit
-        leaves the pure up-down product state, so the second qubit is then
-        spin-down with certainty."""
-        updated = luders_update(
-            singlet_state(), spin_observable(Z_AXIS, 1).projector_for(1.0)
-        )
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        np.testing.assert_allclose(updated.matrix, expected, atol=1e-12)
-        assert born_probability(updated, spin_observable(Z_AXIS, 2), -1.0) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_identity_projector_is_noop(self):
-        state = singlet_state()
-        np.testing.assert_allclose(
-            luders_update(state, np.eye(4)).matrix, state.matrix, atol=1e-15
-        )
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(37)
-        state = random_density_state(rng)
-        proj = spin_observable(random_direction(rng), 1).projector_for(1.0)
-        once = luders_update(state, proj)
-        twice = luders_update(once, proj)
-        np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-12)
-
-    def test_zero_branch_raises(self):
-        # the singlet has no ++ component
-        with pytest.raises(ZeroProbabilityError):
-            luders_update(singlet_state(), np.diag([1.0, 0.0, 0.0, 0.0]))
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(InputValidationError):
-            luders_update(singlet_state(), np.eye(4) * 0.5)
-
-    def test_chain_rule_on_random_states(self):
-        """P(a, b) = P(a) P(b | a) with the conditional taken on the updated
-        state, for commuting observables on different subsystems."""
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            state = random_density_state(rng)
-            obs_a = spin_observable(random_direction(rng), 1)
-            obs_b = spin_observable(random_direction(rng), 2)
-            for va in obs_a.outcomes:
-                p_a = born_probability(state, obs_a, va)
-                if p_a < 1e-9:
-                    continue
-                updated = luders_update(state, obs_a.projector_for(va))
-                for vb in obs_b.outcomes:
-                    joint = born_joint_probability(state, obs_a, va, obs_b, vb)
-                    chained = p_a * born_probability(updated, obs_b, vb)
-                    assert joint == pytest.approx(chained, abs=1e-12)
 
 
 class TestActingSubsystem:
