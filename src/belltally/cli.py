@@ -1,10 +1,14 @@
 """Command line interface: bound, scan, simulate, and sequential reports.
 
 Data goes to stdout as CSV (fixed-point, 6 decimals) or JSON (full
-precision, schema_version 1); diagnostics go to stderr.  Exit code 0 on
-success, 2 on usage or configuration errors.  CSV number cells are
-byte-identical to Python's '%.6f', correctly rounded with ties to even, and
-scans stream one slab of at most max(chsh._SLAB_ROWS, n**2) rows at a time.
+precision, schema_version 1); diagnostics go to stderr.  bound, simulate and
+sequential write through one emitter; scan streams its rows one slab of at
+most max(chsh._SLAB_ROWS, n**2) rows at a time.  CSV number cells are
+byte-identical to Python's '%.6f', correctly rounded with ties to even.
+argparse only collects strings, and a flag value is converted and checked
+like the same value in a config file.  Exit code 0 on success; 2 with one
+"error:" line for a bad value, or with argparse's usage for a malformed
+command line.
 """
 
 from __future__ import annotations
@@ -95,6 +99,10 @@ class ExperimentConfig:
     workers: int = _config_field(1, convert=int)
 
     def __post_init__(self) -> None:
+        if self.model_name not in MODELS:
+            raise ConfigurationError(
+                f"unknown model {self.model_name!r}; available: {sorted(MODELS)}"
+            )
         if self.format not in ("csv", "json"):
             raise InputValidationError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.trials < 1:
@@ -211,27 +219,6 @@ def _parse_complex_matrix(spec: Any) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _bounded_step(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 90.0:
-        raise argparse.ArgumentTypeError("must lie in (0, 90] degrees")
-    return value
-
-
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     file_values: dict[str, Any] = {}
     if getattr(args, "config", None):
@@ -247,32 +234,36 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
 
     values: dict[str, Any] = {}
-    try:
-        for key, spec in _CONFIG_FIELDS.items():
-            value = getattr(args, key, None)
-            if value is None:
-                if key not in file_values:
-                    continue
-                value = file_values[key]
-            convert = spec.metadata["convert"]
+    for key, spec in _CONFIG_FIELDS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            if key not in file_values:
+                continue
+            value = file_values[key]
+        convert = spec.metadata["convert"]
+        try:
             values[spec.name] = value if convert is None else convert(value)
-        return ExperimentConfig(**values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"malformed config value: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"malformed {key} value: {exc}") from exc
+    return ExperimentConfig(**values)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _emit_csv(*rows: Sequence[str]) -> None:
-    # Every cell is a number or a fixed name, so none needs quoting.
-    sys.stdout.writelines(",".join(row) + "\n" for row in rows)
-
-
-def _emit_json(payload: dict[str, Any]) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(cfg: ExperimentConfig, payload: dict[str, Any], columns: list[str], rows: list) -> int:
+    """Write a report: the payload as JSON after its schema_version, or the
+    columns and rows as CSV, with str cells as they are, None as an empty
+    cell and numbers as '%.6f'.  No cell needs quoting."""
+    if cfg.format == "json":
+        json.dump({"schema_version": SCHEMA_VERSION, **payload}, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return 0
+    for row in [columns, *rows]:
+        cells = (v if isinstance(v, str) else "" if v is None else _fmt(v) for v in row)
+        sys.stdout.write(",".join(cells) + "\n")
+    return 0
 
 
 def cmd_bound(cfg: ExperimentConfig) -> int:
@@ -284,24 +275,16 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     angles = setting.plane_angles_deg()
     point = {"bound": bound, "no_registration_lower_bound": 1.0 - bound}
     grid = {"grid_min_bound": grid_min, "grid_min_no_registration_lower_bound": 1.0 - grid_min}
-    if cfg.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "angles_deg": None if angles is None else list(angles),
-                "directions": [list(d.as_array()) for d in setting.directions()],
-                **point,
-                "grid_step_deg": step,
-                **grid,
-            }
-        )
-        return 0
-    cells = ["", "", "", ""] if angles is None else [_fmt(v) for v in angles]
-    _emit_csv(
-        ["a_deg", "aprime_deg", "b_deg", "bprime_deg", *point, *grid],
-        cells + [_fmt(v) for v in (*point.values(), *grid.values())],
-    )
-    return 0
+    payload = {
+        "angles_deg": None if angles is None else list(angles),
+        "directions": [list(d.as_array()) for d in setting.directions()],
+        **point,
+        "grid_step_deg": step,
+        **grid,
+    }
+    columns = ["a_deg", "aprime_deg", "b_deg", "bprime_deg", *point, *grid]
+    row = [*(angles or [None] * 4), *point.values(), *grid.values()]
+    return _emit(cfg, payload, columns, [row])
 
 
 def _fixed6(x: np.ndarray) -> np.ndarray:
@@ -429,7 +412,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
         sys.stdout.writelines(_scan_text(scan))
         sys.stdout.write("\n  ]\n}\n")
         return 0
-    _emit_csv(SCAN_COLUMNS)
+    sys.stdout.write(",".join(SCAN_COLUMNS) + "\n")
     sys.stdout.writelines(_scan_csv(scan))
     return 0
 
@@ -481,33 +464,20 @@ def _simulate_metrics(sim, n_trials: int) -> list[tuple[str, str, float, float]]
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Run a local model over the four CHSH pairs and report its statistics."""
-    if cfg.model_name not in MODELS:
-        raise ConfigurationError(
-            f"unknown model {cfg.model_name!r}; available: {sorted(MODELS)}"
-        )
     model = MODELS[cfg.model_name]()
     setting = cfg.resolve_setting()
     sim = simulate_chsh(model, setting, cfg.trials, cfg.seed, cfg.workers)
+    columns = ["metric", "setting", "value", "std_error"]
     rows = _simulate_metrics(sim, cfg.trials)
-    if cfg.format == "json":
-        angles = setting.plane_angles_deg()
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "model": cfg.model_name,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-                "angles_deg": None if angles is None else list(angles),
-                "metrics": [
-                    {"metric": name, "setting": pair, "value": value, "std_error": error}
-                    for name, pair, value, error in rows
-                ],
-            }
-        )
-        return 0
-    _emit_csv(["metric", "setting", "value", "std_error"])
-    _emit_csv(*([name, pair, _fmt(value), _fmt(error)] for name, pair, value, error in rows))
-    return 0
+    angles = setting.plane_angles_deg()
+    payload = {
+        "model": cfg.model_name,
+        "trials": cfg.trials,
+        "seed": cfg.seed,
+        "angles_deg": None if angles is None else list(angles),
+        "metrics": [dict(zip(columns, row)) for row in rows],
+    }
+    return _emit(cfg, payload, columns, rows)
 
 
 def cmd_sequential(cfg: ExperimentConfig) -> int:
@@ -519,30 +489,17 @@ def cmd_sequential(cfg: ExperimentConfig) -> int:
     obs_b = GeneralizedObservable(spin_observable(direction_b, 2))
     distribution = sequential_distribution_factored(state, obs_a, obs_b, det)
     correlation = generalized_correlation(state, obs_a, obs_b, det)
-    if cfg.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "entries": [
-                    {"a_outcome": pair[0], "b_outcome": pair[1], "probability": prob}
-                    for pair, prob in distribution.entries
-                ],
-                "total": distribution.total(),
-                "correlation": correlation,
-            }
-        )
-        return 0
-    _emit_csv(["kind", "a_outcome", "b_outcome", "value"])
-    _emit_csv(*(["entry", f"{a:g}", f"{b:g}", _fmt(p)] for (a, b), p in distribution.entries))
-    _emit_csv(["total", "", "", _fmt(distribution.total())])
-    _emit_csv(["correlation", "", "", _fmt(correlation)])
-    return 0
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--seed", type=_nonnegative_int, default=None)
-    parser.add_argument("--config", default=None, help="JSON config file; flags override it")
+    payload = {
+        "entries": [
+            {"a_outcome": pair[0], "b_outcome": pair[1], "probability": prob}
+            for pair, prob in distribution.entries
+        ],
+        "total": distribution.total(),
+        "correlation": correlation,
+    }
+    rows = [["entry", f"{a:g}", f"{b:g}", p] for (a, b), p in distribution.entries]
+    rows += [["total", "", "", distribution.total()], ["correlation", "", "", correlation]]
+    return _emit(cfg, payload, ["kind", "a_outcome", "b_outcome", "value"], rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,39 +510,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="equal-detection threshold for a setting")
-    _add_common(p_bound)
-    p_bound.add_argument("--angles", default=None, help="tsirelson | degrees | 3-vectors")
-    p_bound.add_argument("--grid-step", dest="grid_step", type=_bounded_step, default=None)
+    p_bound.add_argument("--angles", help="tsirelson | degrees | 3-vectors")
+    p_bound.add_argument("--grid-step")
     p_bound.set_defaults(handler=cmd_bound)
 
     p_scan = sub.add_parser("scan", help="both functionals over the coplanar grid")
-    _add_common(p_scan)
-    p_scan.add_argument("--state", default=None, help="state name (singlet)")
-    p_scan.add_argument("--detection", default=None, help="uniform p or a,a',b,b' values")
-    p_scan.add_argument(
-        "--apparatus-factor", dest="apparatus_factor", type=float, default=None
-    )
-    p_scan.add_argument("--grid-step", dest="grid_step", type=_bounded_step, default=None)
+    p_scan.add_argument("--state", help="state name (singlet)")
+    p_scan.add_argument("--detection", help="uniform p or a,a',b,b' values")
+    p_scan.add_argument("--apparatus-factor")
+    p_scan.add_argument("--grid-step")
     p_scan.set_defaults(handler=cmd_scan)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run of a local model")
-    _add_common(p_sim)
-    p_sim.add_argument("--model", default=None, choices=sorted(MODELS))
-    p_sim.add_argument("--angles", default=None, help="tsirelson | degrees | 3-vectors")
-    p_sim.add_argument("--trials", type=_positive_int, default=None)
-    p_sim.add_argument("--workers", type=_positive_int, default=None)
+    p_sim.add_argument("--model", help=" | ".join(MODELS))
+    p_sim.add_argument("--angles", help="tsirelson | degrees | 3-vectors")
+    p_sim.add_argument("--trials")
+    p_sim.add_argument("--seed")
+    p_sim.add_argument("--workers")
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_seq = sub.add_parser("sequential", help="factored two-measurement distribution")
-    _add_common(p_seq)
-    p_seq.add_argument("--state", default=None, help="state name (singlet)")
-    p_seq.add_argument("--angles", default=None, help="two degrees or two 3-vectors")
-    p_seq.add_argument("--detection", default=None, help="uniform p or a,b values")
-    p_seq.add_argument(
-        "--apparatus-factor", dest="apparatus_factor", type=float, default=None
-    )
+    p_seq.add_argument("--state", help="state name (singlet)")
+    p_seq.add_argument("--angles", help="two degrees or two 3-vectors")
+    p_seq.add_argument("--detection", help="uniform p or a,b values")
+    p_seq.add_argument("--apparatus-factor")
     p_seq.set_defaults(handler=cmd_sequential)
 
+    for command in sub.choices.values():
+        command.add_argument("--format", help="csv (default) | json")
+        command.add_argument("--config", help="JSON config file; flags override it")
     return parser
 
 

@@ -147,6 +147,26 @@ class OutcomeDistribution:
         return dict(self.entries)
 
 
+def _far_apart_detection(
+    state: DensityState,
+    obs_a: GeneralizedObservable,
+    obs_b: GeneralizedObservable,
+    det: DetectionModel,
+) -> tuple[float, float]:
+    """Detection probabilities of obs_a as role a and obs_b as role b, on distinct subsystems."""
+    side_a = acting_subsystem(obs_a.base)
+    side_b = acting_subsystem(obs_b.base)
+    if side_a is None or side_b is None or side_a == side_b:
+        raise InputValidationError(
+            "the factored form requires observables on distinct subsystems; "
+            f"got {obs_a.label!r} on {side_a} and {obs_b.label!r} on {side_b}"
+        )
+    return (
+        det.probability(state.label, obs_a.label, role="a"),
+        det.probability(state.label, obs_b.label, role="b"),
+    )
+
+
 def sequential_distribution_factored(
     state: DensityState,
     obs_a: GeneralizedObservable,
@@ -163,15 +183,7 @@ def sequential_distribution_factored(
         P(a_0, b_p) = (1 - p_A) p_B P(b_p)
         P(a_0, b_0) = (1 - p_A)(1 - p_B)
     """
-    side_a = acting_subsystem(obs_a.base)
-    side_b = acting_subsystem(obs_b.base)
-    if side_a is None or side_b is None or side_a == side_b:
-        raise InputValidationError(
-            "factored sequential distribution requires observables on distinct "
-            f"subsystems; got {obs_a.label!r} on {side_a} and {obs_b.label!r} on {side_b}"
-        )
-    detect_a = det.probability(state.label, obs_a.label, role="a")
-    detect_b = det.probability(state.label, obs_b.label, role="b")
+    detect_a, detect_b = _far_apart_detection(state, obs_a, obs_b, det)
     a_none = float(obs_a.no_registration_outcome)
     b_none = float(obs_b.no_registration_outcome)
     entries: list[tuple[OutcomePair, float]] = []
@@ -201,15 +213,7 @@ def generalized_correlation(
     quantum correlation p_A p_B <AB>; otherwise the no-registration terms
     contribute, and it is the product mean of sequential_distribution_factored.
     """
-    side_a = acting_subsystem(obs_a.base)
-    side_b = acting_subsystem(obs_b.base)
-    if side_a is None or side_b is None or side_a == side_b:
-        raise InputValidationError(
-            "generalized correlation requires observables on distinct subsystems; "
-            f"got {obs_a.label!r} on {side_a} and {obs_b.label!r} on {side_b}"
-        )
-    detect_a = det.probability(state.label, obs_a.label, role="a")
-    detect_b = det.probability(state.label, obs_b.label, role="b")
+    detect_a, detect_b = _far_apart_detection(state, obs_a, obs_b, det)
     if float(obs_a.no_registration_outcome) == 0.0 == float(obs_b.no_registration_outcome):
         return detect_a * detect_b * quantum_expectation_product(state, obs_a.base, obs_b.base)
     return sequential_distribution_factored(state, obs_a, obs_b, det).product_mean()

@@ -32,7 +32,7 @@ from belltally import (
     spin_label,
 )
 from belltally import chsh
-from belltally.cli import _fixed6, _scan_csv, main
+from belltally.cli import MODELS, _fixed6, _scan_csv, build_parser, main
 
 TSIRELSON_VECTORS = (
     "0,0,1;1,0,0;"
@@ -112,6 +112,16 @@ class TestBound:
         assert payload["no_registration_lower_bound"] == 1.0 - payload["bound"]
         assert payload["grid_min_bound"] == min_detection_bound(30.0)
         assert len(payload["directions"]) == 4
+
+    def test_out_of_plane_vectors_leave_the_angle_cells_empty(self, capsys):
+        vectors = [(0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 0, 0)]
+        spec = ";".join(",".join(map(str, v)) for v in vectors)
+        code, out, err = run_cli(capsys, "bound", "--angles", spec, "--grid-step", "45")
+        assert code == 0 and err == ""
+        bound = detection_bound(ChshSetting(*(Direction.normalized(*v) for v in vectors)))
+        assert csv_rows(out)[1] == [
+            "", "", "", "", f"{bound:.6f}", f"{1.0 - bound:.6f}", "0.840896", "0.159104",
+        ]
 
     def test_vector_angle_spec(self, capsys):
         code, out, _ = run_cli(
@@ -397,15 +407,6 @@ class TestSimulate:
             if row[0] == "fair_sampling_divergence":
                 assert row[2] == "0.000000"
 
-    def test_bad_model_and_trials_exit_via_argparse(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["simulate", "--model", "nope"])
-        assert info.value.code == 2
-        with pytest.raises(SystemExit) as info:
-            main(["simulate", "--trials", "0"])
-        assert info.value.code == 2
-        capsys.readouterr()
-
 
 class TestSequential:
     def test_mixed_detection_table(self, capsys):
@@ -512,19 +513,63 @@ class TestConfigPrecedence:
         assert code == 2 and err.startswith("error:")
 
 
-class TestErrors:
-    def test_negative_seed_rejected_by_the_parser(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["simulate", "--seed", "-1"])
-        assert info.value.code == 2
-        capsys.readouterr()
+# A bad value for each kind of flag: (command, flag, value, config key).
+BAD_FLAG_VALUES = [
+    ("simulate", "--model", "nope", "model"),
+    ("simulate", "--trials", "0", "trials"),
+    ("simulate", "--trials", "abc", "trials"),
+    ("simulate", "--seed", "-1", "seed"),
+    ("bound", "--grid-step", "0", "grid_step"),
+    ("bound", "--grid-step", "91", "grid_step"),
+    ("scan", "--apparatus-factor", "x", "apparatus_factor"),
+    ("bound", "--format", "xml", "format"),
+]
+BAD_FLAG_IDS = ["model-nope", "trials-0", "trials-abc", "seed-negative", "grid-step-0",
+                "grid-step-91", "apparatus-factor-text", "format-xml"]
 
-    def test_grid_step_domain(self, capsys):
-        for bad in ("0", "91"):
-            with pytest.raises(SystemExit) as info:
-                main(["bound", "--grid-step", bad])
-            assert info.value.code == 2
-        capsys.readouterr()
+
+class TestParser:
+    def test_no_option_converts_or_restricts_its_value(self):
+        """argparse only collects strings; load_config converts and checks them."""
+        (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+        assert sorted(subparsers.choices) == ["bound", "scan", "sequential", "simulate"]
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                assert action.type is None, (name, action.dest)
+                assert action.choices is None, (name, action.dest)
+
+    @pytest.mark.parametrize("command", ["bound", "scan", "simulate", "sequential"])
+    def test_help_names_the_accepted_values(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        assert "csv" in text and "json" in text
+        if command == "simulate":
+            assert all(model in text for model in MODELS)
+            assert "--seed" in text
+        else:
+            assert "--seed" not in text
+
+
+class TestErrors:
+    @pytest.mark.parametrize("command, flag, value, key", BAD_FLAG_VALUES, ids=BAD_FLAG_IDS)
+    def test_flag_and_config_values_fail_alike(self, capsys, tmp_path, command, flag, value, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        from_flag = run_cli(capsys, command, flag, value)
+        from_config = run_cli(capsys, command, "--config", str(path))
+        assert from_flag == from_config
+        assert from_flag[0] == 2 and from_flag[1] == ""
+
+    def test_range_errors_are_not_called_malformed(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--trials", "0")
+        assert code == 2 and err == "error: trials must be positive, got 0\n"
+        code, _, err = run_cli(capsys, "simulate", "--trials", "abc")
+        assert code == 2
+        assert err == (
+            "error: malformed trials value: invalid literal for int() with base 10: 'abc'\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -569,6 +614,7 @@ class TestErrors:
             # allocator refuses at once.
             (["bound", "--grid-step", "0.0001"], None),
             (["scan", "--grid-step", "0.0001"], None),
+            *(([command, flag, value], None) for command, flag, value, _ in BAD_FLAG_VALUES),
         ],
         ids=[
             "nan-angle",
@@ -580,6 +626,7 @@ class TestErrors:
             "config-nan-state",
             "bound-grid-too-fine",
             "scan-grid-too-fine",
+            *BAD_FLAG_IDS,
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, tmp_path, argv, config):
