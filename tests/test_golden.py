@@ -7,7 +7,9 @@ Outputs too large to keep as files are checked against frozen sha256
 digests instead: the 15 and 30 degree scans the benchmark runs, a 13
 degree grid that is not closed under rotation, with odd probabilities
 and angle cells 8 to 10 characters wide, and a 20 degree scan whose
-modified_lhs column is all zero.  Four of the scans are rerun with the
+modified_lhs column is all zero.  Three seeded simulate JSON runs, two
+whose settings lie in the x-z plane and one out of it, are digests too,
+checked at one and at two workers.  Four of the scans are rerun with the
 scan's slab size patched, so that their bytes cannot depend on it.
 
 The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -65,6 +67,27 @@ GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of seeded simulate JSON, each checked at one and at two workers.
+# The tsirelson and the plane-angle settings read lam's x and z only; the
+# last setting also reads y.
+SIMULATE_DIGESTS = {
+    "simulate-gisin-gisin-1e6.json": (
+        ["simulate", "--format", "json", "--trials", "1000000"],
+        "7c4cece03590e4db0e0c83f20ad388cc4be89b368eff29d92d822a1dbce3e170",
+    ),
+    "simulate-sign-plane.json": (
+        ["simulate", "--format", "json", "--model", "sign", "--angles", "10,100,55,145",
+         "--trials", "300000"],
+        "6a9f23fc043f253d552ef859ded0001ac4f6f262f86b7892b035c79a3a48829e",
+    ),
+    "simulate-out-of-plane.json": (
+        ["simulate", "--format", "json", "--angles", "0,0,1;1,0,0;0.6,0.8,0;0,0.6,0.8",
+         "--trials", "300000"],
+        "a7613c36f3297d98a60291080f45db9315392d769a2be1706118a48fb69695ee",
+    ),
+}
+
+
 def run_main(argv):
     """stdout bytes of a successful main(argv) that wrote nothing to stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -93,6 +116,13 @@ def test_output_matches_golden(name, argv):
 def test_output_matches_golden_digest(name):
     argv, digest = GOLDEN_DIGESTS[name]
     assert hashlib.sha256(run_main(argv)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", list(SIMULATE_DIGESTS))
+def test_simulate_matches_golden_digest(name, workers):
+    argv, digest = SIMULATE_DIGESTS[name]
+    assert hashlib.sha256(run_main([*argv, "--workers", workers])).hexdigest() == digest
 
 
 # Scans rerun with chsh._SLAB_ROWS patched so that each slab holds k = 1,
