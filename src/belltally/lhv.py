@@ -4,9 +4,10 @@ Monte Carlo statistics.
 A microstate is a hidden variable (lam, u_a, u_b): a point lam on the unit
 sphere plus one auxiliary uniform coordinate per side.  A model is local by
 construction: each side's response depends only on its own direction and
-the hidden variable.  Responses factor into a possessed value in {-1, +1}
-(the value the side would register) and a detection indicator; the
-registered outcome is the possessed value when detected, else 0.
+the hidden variable, and it reads lam only through an alignment lam.d.
+Responses factor into a possessed value in {-1, +1} (the value the side
+would register) and a detection indicator; the registered outcome is the
+possessed value when detected, else 0.
 
 Reproducibility scheme
 ----------------------
@@ -22,12 +23,14 @@ Tally scheme
 ------------
 A chunk is sampled once, into buffers its worker thread reuses for every
 chunk, then evaluated in row blocks of 16384 trials whose temporaries the
-allocator reuses.  Within a block each side evaluates its possession and
-detection callables once per distinct direction and encodes every trial as
-a 2-bit code, 2 * detected + (possessed value > 0).  Each pair then adds
-one 16-bin bincount over (A code, B code) per block into the chunk's
-integer cells; the 3x3 registered-outcome tally and the 2x2 possession
-tally are both sums over those 16 cells.
+allocator reuses.  The sampler fills only the components of lam that an
+effective direction has nonzero; 0.0 in the others changes no nonzero
+alignment, as they enter each one times +-0.0.  In a block the alignment
+with each distinct effective direction is one read-only matrix-vector
+product, which each side maps to a 2-bit code, 2 * detected + (possessed
+value > 0).  Each pair then adds one 16-bin bincount over (A code, B code)
+per block into the chunk's integer cells; the 3x3 registered-outcome tally
+and the 2x2 possession tally are both sums over those 16 cells.
 
 The reference detection-loophole model (``gisin_gisin_model``) registers
 A = sign(a.lam) with probability |a.lam| and always registers
@@ -58,16 +61,17 @@ _BLOCK = 1 << 14  # rows per block: temporaries are reused, not page-faulted ane
 # Per-correlation pair names for a CHSH run, in tally order.
 PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
-# respond = possess * detect, evaluated on batches:
-#   possess(axes (n,3), direction (3,)) -> (n,) values in {-1, +1}
-#   detect(axes (n,3), u (n,), direction (3,)) -> (n,) booleans (or 0/1)
-# Each callable runs once per row block for every distinct direction of
-# its side, however many pairs share that direction, so it must be row-wise
+# respond = possess * detect, evaluated on batches of read-only alignments:
+#   possess(alignment (n,)) -> (n,) values in {-1, +1}
+#   detect(alignment (n,), u (n,)) -> (n,) booleans (or 0/1)
+# Each callable runs once per row block for every distinct effective
+# direction of its side, however many pairs share it, so it must be row-wise
 # (as chunking already requires); its results are folded into the 16
 # (A code, B code) cells described in the module docstring.
-PossessFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-DetectFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-# sampler(rng, count, *, out=None) -> (axes, u_a, u_b), as sample_hidden_uniform.
+PossessFn = Callable[[np.ndarray], np.ndarray]
+DetectFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# sampler(rng, count, *, out=None, reads=(True,) * 3) -> (axes, u_a, u_b), as
+# sample_hidden_uniform; where reads[k] is False it may put 0.0 in axes[:, k].
 SamplerFn = Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
 # Each worker thread's sampler buffers, reused by every chunk it evaluates.
 _worker = threading.local()
@@ -85,7 +89,8 @@ def _sampler_buffers(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def sample_hidden_uniform(
-    rng: np.random.Generator, count: int, *, out: tuple[np.ndarray, ...] | None = None
+    rng: np.random.Generator, count: int, *, out: tuple[np.ndarray, ...] | None = None,
+    reads: tuple[bool, bool, bool] = (True, True, True),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lam uniform on the sphere (area-preserving map), u_a and u_b uniform.
 
@@ -93,6 +98,7 @@ def sample_hidden_uniform(
     pure function of the generator state; filling axes in row blocks keeps it.
     out, if given, is the (draws, axes, scratch) of _sampler_buffers(n) for an
     n >= count, and the results are views of it; otherwise they are new arrays.
+    z is always filled, and x (cosine) and y (sine) where reads says, else 0.0.
     """
     draws, axes, scratch = _sampler_buffers(count) if out is None else out
     draws, axes = draws[:count], axes[:count]
@@ -106,14 +112,18 @@ def sample_hidden_uniform(
         np.multiply(2.0 * math.pi, block[:, 1], out=azimuth)
         np.subtract(1.0, np.multiply(z, z, out=radial), out=radial)
         np.sqrt(np.maximum(0.0, radial, out=radial), out=radial)
-        np.multiply(radial, np.cos(azimuth, out=trig), out=rows[:, 0])
-        np.multiply(radial, np.sin(azimuth, out=trig), out=rows[:, 1])
+        for k, trig_fn in ((0, np.cos), (1, np.sin)):
+            if reads[k]:
+                np.multiply(radial, trig_fn(azimuth, out=trig), out=rows[:, k])
+            else:
+                rows[:, k] = 0.0
     return axes, draws[:, 2], draws[:, 3]
 
 
 @dataclass(frozen=True)
 class MicrostateModel:
-    """Deterministic local responses split into possession and detection."""
+    """Deterministic local responses split into possession and detection; a
+    side with a frame (a 3x3 rotation) measuring along d reads lam.(frame @ d)."""
 
     name: str
     possess_a: PossessFn
@@ -121,50 +131,41 @@ class MicrostateModel:
     detect_a: DetectFn
     detect_b: DetectFn
     sampler: SamplerFn = sample_hidden_uniform
+    frame_a: np.ndarray | None = None
+    frame_b: np.ndarray | None = None
 
 
-def _sign_along(axes: np.ndarray, direction: np.ndarray) -> np.ndarray:
+def _sign(alignment: np.ndarray) -> np.ndarray:
     # int8 sign with the zero set mapped to +1; the set has measure zero.
     # Arithmetic on the 0/1 view, because np.where on a random mask is
     # several times slower.
-    return 2 * (axes @ direction >= 0.0).view(np.int8) - 1
+    return 2 * (alignment >= 0.0).view(np.int8) - 1
 
 
-def _negative_sign_along(axes: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    return 1 - 2 * (axes @ direction >= 0.0).view(np.int8)
+def _negative_sign(alignment: np.ndarray) -> np.ndarray:
+    return 1 - 2 * (alignment >= 0.0).view(np.int8)
 
 
-def _constant_plus(axes: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    return np.ones(len(axes), dtype=np.int64)
+def _constant_plus(alignment: np.ndarray) -> np.ndarray:
+    return np.ones(len(alignment), dtype=np.int64)
 
 
-def _always_detect(axes: np.ndarray, u: np.ndarray, direction: np.ndarray) -> np.ndarray:
+def _always_detect(alignment: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.ones(len(u), dtype=bool)
 
 
-def _detect_if_aligned(axes: np.ndarray, u: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    alignment = axes @ direction
-    return u < np.abs(alignment, out=alignment)
-
-
-def _rotated_sign(axes: np.ndarray, direction: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    return _sign_along(axes, rotation @ direction)
+def _detect_if_aligned(alignment: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return u < np.abs(alignment)
 
 
 def _threshold_detect(
-    axes: np.ndarray,
-    u: np.ndarray,
-    direction: np.ndarray,
-    rotation: np.ndarray,
-    base: float,
-    slope: float,
+    alignment: np.ndarray, u: np.ndarray, base: float, slope: float
 ) -> np.ndarray:
     # In place, so one temporary serves the whole chain of operations.
-    alignment = axes @ (rotation @ direction)
-    np.abs(alignment, out=alignment)
-    alignment *= slope
-    alignment += base
-    return u < np.clip(alignment, 0.0, 1.0, out=alignment)
+    level = np.abs(alignment)
+    level *= slope
+    level += base
+    return u < np.clip(level, 0.0, 1.0, out=level)
 
 
 def gisin_gisin_model() -> MicrostateModel:
@@ -172,8 +173,8 @@ def gisin_gisin_model() -> MicrostateModel:
     probability |a.lam|, B always registers -sign(b.lam)."""
     return MicrostateModel(
         name="gisin-gisin",
-        possess_a=_sign_along,
-        possess_b=_negative_sign_along,
+        possess_a=_sign,
+        possess_b=_negative_sign,
         detect_a=_detect_if_aligned,
         detect_b=_always_detect,
     )
@@ -183,8 +184,8 @@ def sign_model() -> MicrostateModel:
     """Always-detecting anticorrelated sign responses."""
     return MicrostateModel(
         name="sign",
-        possess_a=_sign_along,
-        possess_b=_negative_sign_along,
+        possess_a=_sign,
+        possess_b=_negative_sign,
         detect_a=_always_detect,
         detect_b=_always_detect,
     )
@@ -202,8 +203,8 @@ def constant_model() -> MicrostateModel:
 
 
 def random_microstate_model(seed: int, name: str | None = None) -> MicrostateModel:
-    """Random deterministic local model: rotated sign possession on each side
-    with a random affine detection threshold in the rotated alignment."""
+    """Random deterministic local model: sign possession in a random frame on
+    each side, with a random affine detection threshold in that alignment."""
     rng = np.random.default_rng(seed)
     rotations = []
     for _ in range(2):
@@ -213,10 +214,12 @@ def random_microstate_model(seed: int, name: str | None = None) -> MicrostateMod
     slope_a, slope_b = rng.uniform(-0.3, 0.7, size=2)
     return MicrostateModel(
         name=name if name is not None else f"random-{seed}",
-        possess_a=partial(_rotated_sign, rotation=rotations[0]),
-        possess_b=partial(_rotated_sign, rotation=rotations[1]),
-        detect_a=partial(_threshold_detect, rotation=rotations[0], base=base_a, slope=slope_a),
-        detect_b=partial(_threshold_detect, rotation=rotations[1], base=base_b, slope=slope_b),
+        possess_a=_sign,
+        possess_b=_sign,
+        detect_a=partial(_threshold_detect, base=base_a, slope=slope_a),
+        detect_b=partial(_threshold_detect, base=base_b, slope=slope_b),
+        frame_a=rotations[0],
+        frame_b=rotations[1],
     )
 
 
@@ -370,38 +373,57 @@ def _ordered_sum(
     return total
 
 
+def _effective_pairs(
+    model: MicrostateModel, settings: Sequence[tuple[Direction, Direction]]
+) -> tuple[list[tuple[np.ndarray, ...]], tuple[bool, ...]]:
+    """Each pair's directions turned by its sides' frames, and which
+    components of lam they read: a component all of them zero is never read."""
+    frames = (model.frame_a, model.frame_b)
+    pairs = [
+        tuple(d.as_array() if f is None else f @ d.as_array() for f, d in zip(frames, pair))
+        for pair in settings
+    ]
+    return pairs, tuple(bool(read) for read in np.any(np.asarray(pairs) != 0.0, axis=(0, 1)))
+
+
 def _chunk_tallies(
     model: MicrostateModel,
     direction_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     size: int,
     seed: int,
     chunk_index: int,
+    reads: tuple[bool, bool, bool] = (True, True, True),
 ) -> np.ndarray:
-    """(pairs, 4, 4) counts of (A code, B code) for one chunk of trials."""
+    """(pairs, 4, 4) counts of (A code, B code) for one chunk of trials;
+    direction_pairs are effective directions, reads goes to the sampler."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     if not hasattr(_worker, "buffers"):
         _worker.buffers = _sampler_buffers(CHUNK_SIZE)
-    axes, u_a, u_b = model.sampler(rng, size, out=_worker.buffers)
+    axes, u_a, u_b = model.sampler(rng, size, out=_worker.buffers, reads=reads)
 
-    def side_codes(cache, possess, detect, axes, u, direction):
+    def side_codes(cache, possess, detect, aligned, u, direction):
         key = direction.tobytes()
         if key not in cache:
-            positive = np.asarray(possess(axes, direction)) > 0
-            detected = np.asarray(detect(axes, u, direction), dtype=bool)
+            positive = np.asarray(possess(aligned[key])) > 0
+            detected = np.asarray(detect(aligned[key], u), dtype=bool)
             cache[key] = 2 * detected.view(np.uint8) + positive
         return cache[key]
 
+    # One matrix-vector product per distinct direction; a stacked one may round differently.
+    vectors = {vec.tobytes(): vec for pair in direction_pairs for vec in pair}
     cells = np.zeros((len(direction_pairs), 16), dtype=np.int64)
     index_buffer = np.empty(min(size, _BLOCK), dtype=np.intp)
     for start in range(0, size, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        block, block_u_a, block_u_b = axes[rows], u_a[rows], u_b[rows]
-        codes_a: dict[bytes, np.ndarray] = {}
-        codes_b: dict[bytes, np.ndarray] = {}
+        block, u_a_rows, u_b_rows = axes[rows], u_a[rows], u_b[rows]
+        aligned = {key: block @ vec for key, vec in vectors.items()}
+        for alignment in aligned.values():
+            alignment.setflags(write=False)
+        codes_a, codes_b = {}, {}
         cell_index = index_buffer[: len(block)]
         for s_idx, (a_vec, b_vec) in enumerate(direction_pairs):
-            code_a = side_codes(codes_a, model.possess_a, model.detect_a, block, block_u_a, a_vec)
-            code_b = side_codes(codes_b, model.possess_b, model.detect_b, block, block_u_b, b_vec)
+            code_a = side_codes(codes_a, model.possess_a, model.detect_a, aligned, u_a_rows, a_vec)
+            code_b = side_codes(codes_b, model.possess_b, model.detect_b, aligned, u_b_rows, b_vec)
             np.add(4 * code_a, code_b, out=cell_index)
             cells[s_idx] += np.bincount(cell_index, minlength=16)
     return cells.reshape(-1, 4, 4)
@@ -428,11 +450,11 @@ def _run_tallies(
         raise InputValidationError(f"n_workers must be positive, got {n_workers!r}")
     if len(settings) == 0:
         raise InputValidationError("at least one setting is required")
-    pairs = [(a.as_array(), b.as_array()) for a, b in settings]
+    pairs, reads = _effective_pairs(model, settings)
 
     def chunk(job: tuple[int, int]) -> np.ndarray:
         index, size = job
-        return _chunk_tallies(model, pairs, size, int(seed), index)
+        return _chunk_tallies(model, pairs, size, int(seed), index, reads)
 
     n_chunks = -(-n_trials // CHUNK_SIZE)
     # A worker beyond the usable CPUs would only hold one more chunk in memory.
@@ -454,12 +476,8 @@ def run_experiment(
     for the chunked substream scheme.
     """
     cells = _run_tallies(model, settings, n_trials, seed, n_workers)
-    return SimulationSummary(
-        n_trials=n_trials,
-        settings=tuple((a, b) for a, b in settings),
-        tallies=_registered(cells),
-        seed=int(seed),
-    )
+    pairs = tuple((a, b) for a, b in settings)
+    return SimulationSummary(n_trials, pairs, _registered(cells), int(seed))
 
 
 def chsh_pairs(setting: ChshSetting) -> tuple[tuple[Direction, Direction], ...]:
@@ -565,12 +583,7 @@ def simulate_chsh(
     whenever the two sides' detections are independent.
     """
     cells = _run_tallies(model, chsh_pairs(setting), n_trials, seed, n_workers)
-    summary = SimulationSummary(
-        n_trials=n_trials,
-        settings=chsh_pairs(setting),
-        tallies=_registered(cells),
-        seed=int(seed),
-    )
+    summary = SimulationSummary(n_trials, chsh_pairs(setting), _registered(cells), int(seed))
     micro = tuple(summary.micro_correlation(i) for i in range(4))
     micro_se = tuple(summary.micro_correlation_se(i) for i in range(4))
     cond = tuple(summary.conditional_correlation(i) for i in range(4))

@@ -51,26 +51,32 @@ def plane(deg: float) -> Direction:
     return Direction.from_plane_degrees(deg)
 
 
-def _possess_plus(axes, direction):
-    return np.ones(len(axes), dtype=np.int64)
+def _possess_plus(alignment):
+    return np.ones(len(alignment), dtype=np.int64)
 
 
-def _never_detect(axes, u, direction):
+def _never_detect(alignment, u):
     return np.zeros(len(u), dtype=bool)
 
 
-def _always_detect(axes, u, direction):
+def _always_detect(alignment, u):
     return np.ones(len(u), dtype=bool)
+
+
+def effective(model, side, direction):
+    """The vector a side's alignment is taken with: direction in its frame."""
+    frame = getattr(model, f"frame_{side}")
+    return direction.as_array() if frame is None else frame @ direction.as_array()
 
 
 def registered_outcome(model, side, axis, u, direction):
     """Registered outcome in {-1, 0, +1} of one microstate, from a side's
-    batch callables on one-row arrays."""
+    batch callables on a one-row alignment."""
     possess = getattr(model, f"possess_{side}")
     detect = getattr(model, f"detect_{side}")
-    axes = axis.as_array()[None, :]
-    value = int(possess(axes, direction.as_array())[0])
-    return value if detect(axes, np.array([u]), direction.as_array())[0] else 0
+    alignment = axis.as_array()[None, :] @ effective(model, side, direction)
+    value = int(possess(alignment)[0])
+    return value if detect(alignment, np.array([u]))[0] else 0
 
 
 def _whole_array_sampler(rng, count):
@@ -115,6 +121,28 @@ class TestSampler:
                 assert (got.shape, got.dtype) == (want.shape, want.dtype)
                 assert got.tobytes() == want.tobytes()
                 assert any(np.shares_memory(got, buffer) for buffer in buffers)
+            assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("count", [1, lhv._BLOCK + 1, lhv.CHUNK_SIZE])
+    def test_unread_components_are_zero_and_the_rest_unchanged(self, count):
+        """On reused NaN-filled buffers, every call writes exact +0.0 into
+        each unread column of axes and the reference bytes everywhere else."""
+        buffers = lhv._sampler_buffers(lhv.CHUNK_SIZE)
+        for buffer in buffers:
+            buffer.fill(np.nan)
+        sequence = [(True, False, True), (True, True, True), (True, False, True),
+                    (False, False, True), (False, True, True)]
+        for seed, reads in enumerate(sequence):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_hidden_uniform(rng, count, out=buffers, reads=reads)
+            want = _whole_array_sampler(reference_rng, count)
+            for k, read in enumerate(reads):
+                if read:
+                    assert got[0][:, k].tobytes() == want[0][:, k].tobytes()
+                else:
+                    assert got[0][:, k].tobytes() == bytes(8 * count)
+            for got_u, want_u in zip(got[1:], want[1:], strict=True):
+                assert got_u.tobytes() == want_u.tobytes()
             assert rng.random() == reference_rng.random()
 
     def test_calls_without_buffers_do_not_alias(self):
@@ -340,18 +368,20 @@ class TestRunExperiment:
             summary.conditional_correlation(0)
 
 
-def _reference_tallies(model, direction_pairs, size, seed, chunk_index):
-    """Per-pair loop: registered values via np.where, then separate 9-bin
-    registered and 4-bin possession bincounts."""
+def _reference_tallies(model, settings, size, seed, chunk_index):
+    """Per-pair loop on a fully filled sample: alignments taken anew for each
+    call, registered values via np.where, then separate 9-bin registered and
+    4-bin possession bincounts."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     axes, u_a, u_b = model.sampler(rng, size)
-    registered = np.zeros((len(direction_pairs), 3, 3), dtype=np.int64)
-    possession = np.zeros((len(direction_pairs), 2, 2), dtype=np.int64)
-    for s_idx, (a_vec, b_vec) in enumerate(direction_pairs):
-        value_a = np.asarray(model.possess_a(axes, a_vec), dtype=np.int64)
-        value_b = np.asarray(model.possess_b(axes, b_vec), dtype=np.int64)
-        reg_a = np.where(model.detect_a(axes, u_a, a_vec), value_a, 0)
-        reg_b = np.where(model.detect_b(axes, u_b, b_vec), value_b, 0)
+    registered = np.zeros((len(settings), 3, 3), dtype=np.int64)
+    possession = np.zeros((len(settings), 2, 2), dtype=np.int64)
+    for s_idx, (a, b) in enumerate(settings):
+        a_vec, b_vec = effective(model, "a", a), effective(model, "b", b)
+        value_a = np.asarray(model.possess_a(axes @ a_vec), dtype=np.int64)
+        value_b = np.asarray(model.possess_b(axes @ b_vec), dtype=np.int64)
+        reg_a = np.where(model.detect_a(axes @ a_vec, u_a), value_a, 0)
+        reg_b = np.where(model.detect_b(axes @ b_vec, u_b), value_b, 0)
         cells = (reg_a + 1) * 3 + (reg_b + 1)
         registered[s_idx] = np.bincount(cells, minlength=9).reshape(3, 3)
         cells = (value_a + 1) // 2 * 2 + (value_b + 1) // 2
@@ -363,11 +393,11 @@ def _int_model():
     """Custom model whose possession is int64 and whose detection is a
     non-bool 0/1 array."""
 
-    def possess(axes, direction):
-        return np.where(axes @ direction >= 0.25, 1, -1).astype(np.int64)
+    def possess(alignment):
+        return np.where(alignment >= 0.25, 1, -1).astype(np.int64)
 
-    def detect(axes, u, direction):
-        return (u < 0.4 + 0.5 * np.abs(axes @ direction)).astype(np.int32)
+    def detect(alignment, u):
+        return (u < 0.4 + 0.5 * np.abs(alignment)).astype(np.int32)
 
     return MicrostateModel("int", possess, possess, detect, detect)
 
@@ -383,13 +413,12 @@ def _counting(model):
 
         return wrapper
 
-    wrapped = MicrostateModel(
-        model.name,
-        counted(model.possess_a),
-        counted(model.possess_b),
-        counted(model.detect_a),
-        counted(model.detect_b),
-        model.sampler,
+    wrapped = dataclasses.replace(
+        model,
+        possess_a=counted(model.possess_a),
+        possess_b=counted(model.possess_b),
+        detect_a=counted(model.detect_a),
+        detect_b=counted(model.detect_b),
     )
     return wrapped, calls
 
@@ -398,11 +427,14 @@ def _pair_sets():
     rng = np.random.default_rng(71)
     random_setting = ChshSetting(*(random_direction(rng) for _ in range(4)))
     distinct = [(random_direction(rng), random_direction(rng)) for _ in range(4)]
-    # (pairs, distinct directions per side)
+    down = Direction(0.0, 0.0, -1.0)
+    # (pairs, distinct directions per side, components read without a frame)
     return {
-        "chsh-tsirelson": (chsh_pairs(ChshSetting.tsirelson()), 2),
-        "chsh-random": (chsh_pairs(random_setting), 2),
-        "distinct": (tuple(distinct), 4),
+        "chsh-tsirelson": (chsh_pairs(ChshSetting.tsirelson()), 2, (True, False, True)),
+        "chsh-random": (chsh_pairs(random_setting), 2, (True, True, True)),
+        "distinct": (tuple(distinct), 4, (True, True, True)),
+        "z-only": (((Z_AXIS, Z_AXIS), (down, Z_AXIS), (Z_AXIS, down), (down, down)), 2,
+                   (False, False, True)),
     }
 
 
@@ -413,15 +445,21 @@ class TestChunkTallies:
         ids=["gisin-gisin", "sign", "constant", "random-3", "int"],
     )
     @pytest.mark.parametrize("size", [lhv.CHUNK_SIZE, 1234, lhv._BLOCK + 1, 1])
-    @pytest.mark.parametrize("pair_set", ["chsh-tsirelson", "chsh-random", "distinct"])
+    @pytest.mark.parametrize("pair_set", ["chsh-tsirelson", "chsh-random", "distinct", "z-only"])
     def test_fused_cells_match_per_pair_reference(self, factory, size, pair_set):
-        settings, directions_per_side = _pair_sets()[pair_set]
-        pairs = [(a.as_array(), b.as_array()) for a, b in settings]
+        """Cells from the sample filled as the run reads it equal those of a
+        fully filled sample, and the per-pair reference on it."""
+        settings, directions_per_side, plain_reads = _pair_sets()[pair_set]
         model, calls = _counting(factory())
-        cells = lhv._chunk_tallies(model, pairs, size, 5, 3)
+        pairs, reads = lhv._effective_pairs(model, settings)
+        if model.frame_a is None:
+            assert reads == plain_reads
+        cells = lhv._chunk_tallies(model, pairs, size, 5, 3, reads)
         # each side's possess and detect run once per distinct direction per block
         assert len(calls) == 4 * directions_per_side * math.ceil(size / lhv._BLOCK)
-        registered, possession = _reference_tallies(factory(), pairs, size, 5, 3)
+        full = lhv._chunk_tallies(factory(), pairs, size, 5, 3, (True, True, True))
+        np.testing.assert_array_equal(cells, full)
+        registered, possession = _reference_tallies(factory(), settings, size, 5, 3)
         assert cells.shape == (len(pairs), 4, 4)
         np.testing.assert_array_equal(lhv._registered(cells), registered)
         # code = 2 * detected + positive, so axes 2 and 4 are the possessed signs
@@ -435,9 +473,10 @@ class TestChunkTallies:
         draws into the same buffers."""
         calls = []
 
-        def sampler(rng, count, *, out=None):
+        def sampler(rng, count, *, out=None, reads=(True, True, True)):
             calls.append((threading.get_ident(), out))  # held, so no id is reused
-            return sample_hidden_uniform(rng, count, out=out)
+            assert reads == (True, False, True)  # the preset lies in the x-z plane
+            return sample_hidden_uniform(rng, count, out=out, reads=reads)
 
         model = dataclasses.replace(gisin_gisin_model(), sampler=sampler)
         setting = ChshSetting.tsirelson()
@@ -448,6 +487,18 @@ class TestChunkTallies:
         buffers_by_thread = {}
         for thread, buffers in calls:
             assert buffers_by_thread.setdefault(thread, buffers) is buffers
+
+
+    def test_a_response_cannot_write_into_its_alignment(self):
+        """Alignments are shared between callables, so they are read-only."""
+
+        def negate_in_place(alignment):
+            alignment *= -1.0
+            return np.sign(alignment)
+
+        model = dataclasses.replace(sign_model(), possess_a=negate_in_place)
+        with pytest.raises(ValueError, match="read-only"):
+            run_experiment(model, [(Z_AXIS, X_AXIS)], 100, 1)
 
 
 class _Merged:
