@@ -76,6 +76,13 @@ def _optional_float(value: Any) -> float | None:
     return None if value is None else float(value)
 
 
+def _integer(value: Any) -> int:
+    # int() alone would turn 2.5 into 2 and true into 1.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _config_field(default: Any, key: str | None = None, convert: Any = None) -> Any:
     # One config field: key names both the config-file key and the flag's
     # argparse dest (the field name when None); convert, when given, is
@@ -91,12 +98,12 @@ class ExperimentConfig:
     angles_spec: Any = _config_field("tsirelson", "angles")
     detection_spec: Any = _config_field(1.0, "detection")
     apparatus_factor: float = _config_field(1.0, convert=float)
-    trials: int = _config_field(100000, convert=int)
-    seed: int = _config_field(0, convert=int)
+    trials: int = _config_field(100000, convert=_integer)
+    seed: int = _config_field(0, convert=_integer)
     format: str = _config_field("csv", convert=str)
     grid_step_deg: float | None = _config_field(None, "grid_step", _optional_float)
     model_name: str = _config_field("gisin-gisin", "model", str)
-    workers: int = _config_field(1, convert=int)
+    workers: int = _config_field(1, convert=_integer)
 
     def __post_init__(self) -> None:
         if self.model_name not in MODELS:

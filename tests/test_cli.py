@@ -614,6 +614,9 @@ class TestErrors:
             # allocator refuses at once.
             (["bound", "--grid-step", "0.0001"], None),
             (["scan", "--grid-step", "0.0001"], None),
+            (["simulate", "--model", "sign"], {"trials": 2.5}),
+            (["simulate", "--model", "sign"], {"seed": True}),
+            (["simulate", "--model", "sign"], {"workers": 1.5}),
             *(([command, flag, value], None) for command, flag, value, _ in BAD_FLAG_VALUES),
         ],
         ids=[
@@ -626,6 +629,9 @@ class TestErrors:
             "config-nan-state",
             "bound-grid-too-fine",
             "scan-grid-too-fine",
+            "config-trials-2.5",
+            "config-seed-true",
+            "config-workers-1.5",
             *BAD_FLAG_IDS,
         ],
     )
