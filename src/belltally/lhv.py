@@ -27,10 +27,11 @@ allocator reuses.  The sampler fills only the components of lam that an
 effective direction has nonzero; 0.0 in the others changes no nonzero
 alignment, as they enter each one times +-0.0.  In a block the alignment
 with each distinct effective direction is one read-only matrix-vector
-product, which each side maps to a 2-bit code, 2 * detected + (possessed
-value > 0).  Each pair then adds one 16-bin bincount over (A code, B code)
-per block into the chunk's integer cells; the 3x3 registered-outcome tally
-and the 2x2 possession tally are both sums over those 16 cells.
+product, which each side measuring along it maps to a 2-bit code per trial,
+2 * detected + (possessed value > 0).  Each pair then adds one 16-bin
+bincount over (A code, B code) per block into the chunk's integer cells;
+the 3x3 registered-outcome tally and the 2x2 possession tally are both sums
+over those 16 cells.
 
 The reference detection-loophole model (``gisin_gisin_model``) registers
 A = sign(a.lam) with probability |a.lam| and always registers
@@ -401,30 +402,30 @@ def _chunk_tallies(
         _worker.buffers = _sampler_buffers(CHUNK_SIZE)
     axes, u_a, u_b = model.sampler(rng, size, out=_worker.buffers, reads=reads)
 
-    def side_codes(cache, possess, detect, aligned, u, direction):
-        key = direction.tobytes()
-        if key not in cache:
-            positive = np.asarray(possess(aligned[key])) > 0
-            detected = np.asarray(detect(aligned[key], u), dtype=bool)
-            cache[key] = 2 * detected.view(np.uint8) + positive
-        return cache[key]
-
-    # One matrix-vector product per distinct direction; a stacked one may round differently.
+    keys = [(a.tobytes(), b.tobytes()) for a, b in direction_pairs]
     vectors = {vec.tobytes(): vec for pair in direction_pairs for vec in pair}
+    sides = (
+        (model.possess_a, model.detect_a, u_a, {key_a for key_a, _ in keys}),
+        (model.possess_b, model.detect_b, u_b, {key_b for _, key_b in keys}),
+    )
     cells = np.zeros((len(direction_pairs), 16), dtype=np.int64)
     index_buffer = np.empty(min(size, _BLOCK), dtype=np.intp)
     for start in range(0, size, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        block, u_a_rows, u_b_rows = axes[rows], u_a[rows], u_b[rows]
-        aligned = {key: block @ vec for key, vec in vectors.items()}
-        for alignment in aligned.values():
+        block = axes[rows]
+        codes: tuple[dict[bytes, np.ndarray], ...] = ({}, {})
+        for key, vec in vectors.items():
+            # One matrix-vector product per direction; a stacked one may round differently.
+            alignment = block @ vec
             alignment.setflags(write=False)
-        codes_a, codes_b = {}, {}
+            for (possess, detect, u, measured), side_codes in zip(sides, codes):
+                if key in measured:
+                    positive = np.asarray(possess(alignment)) > 0
+                    detected = np.asarray(detect(alignment, u[rows]), dtype=bool)
+                    side_codes[key] = 2 * detected.view(np.uint8) + positive
         cell_index = index_buffer[: len(block)]
-        for s_idx, (a_vec, b_vec) in enumerate(direction_pairs):
-            code_a = side_codes(codes_a, model.possess_a, model.detect_a, aligned, u_a_rows, a_vec)
-            code_b = side_codes(codes_b, model.possess_b, model.detect_b, aligned, u_b_rows, b_vec)
-            np.add(4 * code_a, code_b, out=cell_index)
+        for s_idx, (key_a, key_b) in enumerate(keys):
+            np.add(4 * codes[0][key_a], codes[1][key_b], out=cell_index)
             cells[s_idx] += np.bincount(cell_index, minlength=16)
     return cells.reshape(-1, 4, 4)
 
