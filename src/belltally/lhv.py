@@ -393,7 +393,7 @@ def _chunk_tallies(
     size: int,
     seed: int,
     chunk_index: int,
-    reads: tuple[bool, bool, bool] = (True, True, True),
+    reads: tuple[bool, bool, bool],
 ) -> np.ndarray:
     """(pairs, 4, 4) counts of (A code, B code) for one chunk of trials;
     direction_pairs are effective directions, reads goes to the sampler."""
