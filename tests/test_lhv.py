@@ -488,7 +488,6 @@ class TestChunkTallies:
         for thread, buffers in calls:
             assert buffers_by_thread.setdefault(thread, buffers) is buffers
 
-
     def test_a_response_cannot_write_into_its_alignment(self):
         """Alignments are shared between callables, so they are read-only."""
 
