@@ -21,17 +21,19 @@ any trial count.
 
 Tally scheme
 ------------
-A chunk is sampled once, into buffers its worker thread reuses for every
-chunk, then evaluated in row blocks of 16384 trials whose temporaries the
-allocator reuses.  The sampler fills only the components of lam that an
-effective direction has nonzero; 0.0 in the others changes no nonzero
-alignment, as they enter each one times +-0.0.  In a block the alignment
-with each distinct effective direction is one read-only matrix-vector
-product, which each side measuring along it maps to a 2-bit code per trial,
-2 * detected + (possessed value > 0).  Each pair then adds one 16-bin
-bincount over (A code, B code) per block into the chunk's integer cells;
-the 3x3 registered-outcome tally and the 2x2 possession tally are both sums
-over those 16 cells.
+A chunk is drawn and counted in row blocks of 16384 trials, one sampler
+call per block on the chunk's generator, into buffers its worker thread
+reuses; the sampler draws row by row, so consecutive calls continue one
+stream.  It fills only the components of lam that an effective direction
+has nonzero; 0.0 in the others changes no nonzero alignment, as they enter
+each one times +-0.0.  In a block the alignment with each distinct
+effective direction is one read-only matrix-vector product, which each side
+measuring along it maps to a 2-bit code per trial, 2 * detected +
+(possessed value > 0).  A run is a list of rectangles of A x B directions
+(a CHSH setting is one 2x2 rectangle, a ``run_experiment`` pair a 1x1 one),
+each counted per block by one bincount over its sides' joint code.  Each
+pair's 16 (A code, B code) cells are exact integer marginals of that count,
+and the 3x3 registered-outcome and 2x2 possession tallies are sums of them.
 
 The reference detection-loophole model (``gisin_gisin_model``) registers
 A = sign(a.lam) with probability |a.lam| and always registers
@@ -57,7 +59,7 @@ from .errors import InputValidationError, ZeroProbabilityError
 from .quantum import ALGEBRA_TOL, Direction
 
 CHUNK_SIZE = 1 << 16
-_BLOCK = 1 << 14  # rows per block: temporaries are reused, not page-faulted anew
+_BLOCK = 1 << 14  # rows per sampler call: buffers and temporaries stay in cache
 
 # Per-correlation pair names for a CHSH run, in tally order.
 PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
@@ -67,14 +69,16 @@ PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 #   detect(alignment (n,), u (n,)) -> (n,) booleans (or 0/1)
 # Each callable runs once per row block for every distinct effective
 # direction of its side, however many pairs share it, so it must be row-wise
-# (as chunking already requires); its results are folded into the 16
-# (A code, B code) cells described in the module docstring.
+# (as chunking already requires); its results are folded into the joint
+# code counts described in the module docstring.
 PossessFn = Callable[[np.ndarray], np.ndarray]
 DetectFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # sampler(rng, count, *, out=None, reads=(True,) * 3) -> (axes, u_a, u_b), as
 # sample_hidden_uniform; where reads[k] is False it may put 0.0 in axes[:, k].
+# Runs call it once per block of at most _BLOCK rows, with out from
+# _sampler_buffers(_BLOCK), so it must draw row by row to continue one stream.
 SamplerFn = Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
-# Each worker thread's sampler buffers, reused by every chunk it evaluates.
+# Each worker thread's block-sized sampler buffers, reused by every block.
 _worker = threading.local()
 
 _OUTCOME_VALUES = np.array([-1.0, 0.0, 1.0])
@@ -96,7 +100,8 @@ def sample_hidden_uniform(
     """lam uniform on the sphere (area-preserving map), u_a and u_b uniform.
 
     Draw order is fixed (z, azimuth, u_a, u_b per trial) so samples are a
-    pure function of the generator state; filling axes in row blocks keeps it.
+    pure function of the generator state; filling axes in row blocks keeps it,
+    and so does splitting count over consecutive calls on one generator.
     out, if given, is the (draws, axes, scratch) of _sampler_buffers(n) for an
     n >= count, and the results are views of it; otherwise they are new arrays.
     z is always filled, and x (cosine) and y (sine) where reads says, else 0.0.
@@ -111,8 +116,8 @@ def sample_hidden_uniform(
         np.multiply(2.0, block[:, 0], out=z)
         z -= 1.0
         np.multiply(2.0 * math.pi, block[:, 1], out=azimuth)
-        np.subtract(1.0, np.multiply(z, z, out=radial), out=radial)
-        np.sqrt(np.maximum(0.0, radial, out=radial), out=radial)
+        # z lies in [-1, 1), so 1 - z*z is never negative.
+        np.sqrt(np.subtract(1.0, np.multiply(z, z, out=radial), out=radial), out=radial)
         for k, trig_fn in ((0, np.cos), (1, np.sin)):
             if reads[k]:
                 np.multiply(radial, trig_fn(azimuth, out=trig), out=rows[:, k])
@@ -374,60 +379,78 @@ def _ordered_sum(
     return total
 
 
-def _effective_pairs(
-    model: MicrostateModel, settings: Sequence[tuple[Direction, Direction]]
-) -> tuple[list[tuple[np.ndarray, ...]], tuple[bool, ...]]:
-    """Each pair's directions turned by its sides' frames, and which
+# Some A directions times some B directions; its pairs are taken row-major.
+Rectangle = tuple[Sequence[Direction], Sequence[Direction]]
+
+
+def _effective_rectangles(
+    model: MicrostateModel, rectangles: Sequence[Rectangle]
+) -> tuple[list[tuple[list[np.ndarray], ...]], tuple[bool, ...]]:
+    """Each rectangle's directions turned by its sides' frames, and which
     components of lam they read: a component all of them zero is never read."""
     frames = (model.frame_a, model.frame_b)
-    pairs = [
-        tuple(d.as_array() if f is None else f @ d.as_array() for f, d in zip(frames, pair))
-        for pair in settings
+    turned = [
+        tuple([d.as_array() if f is None else f @ d.as_array() for d in side]
+              for f, side in zip(frames, rectangle))
+        for rectangle in rectangles
     ]
-    return pairs, tuple(bool(read) for read in np.any(np.asarray(pairs) != 0.0, axis=(0, 1)))
+    vectors = np.array([vec for rectangle in turned for side in rectangle for vec in side])
+    return turned, tuple(bool(read) for read in np.any(vectors != 0.0, axis=0))
+
+
+def _pair_cells(joint: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
+    """(n_a * n_b, 4, 4) cells of a rectangle's pairs, row-major: the integer
+    marginals of its joint count over (A codes..., B codes...)."""
+    joint = joint.reshape((4,) * (n_a + n_b))
+    every = set(range(n_a + n_b))
+    return np.stack([
+        joint.sum(axis=tuple(every - {i, n_a + j})) for i in range(n_a) for j in range(n_b)
+    ])
 
 
 def _chunk_tallies(
     model: MicrostateModel,
-    direction_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    rectangles: Sequence[tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
     size: int,
     seed: int,
     chunk_index: int,
     reads: tuple[bool, bool, bool],
 ) -> np.ndarray:
-    """(pairs, 4, 4) counts of (A code, B code) for one chunk of trials;
-    direction_pairs are effective directions, reads goes to the sampler."""
+    """(pairs, 4, 4) counts of (A code, B code) for one chunk of trials, pairs
+    in rectangle order; rectangles hold effective directions, and reads goes
+    to the sampler."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     if not hasattr(_worker, "buffers"):
-        _worker.buffers = _sampler_buffers(CHUNK_SIZE)
-    axes, u_a, u_b = model.sampler(rng, size, out=_worker.buffers, reads=reads)
-
-    keys = [(a.tobytes(), b.tobytes()) for a, b in direction_pairs]
-    vectors = {vec.tobytes(): vec for pair in direction_pairs for vec in pair}
-    sides = (
-        (model.possess_a, model.detect_a, u_a, {key_a for key_a, _ in keys}),
-        (model.possess_b, model.detect_b, u_b, {key_b for _, key_b in keys}),
-    )
-    cells = np.zeros((len(direction_pairs), 16), dtype=np.int64)
+        _worker.buffers = _sampler_buffers(_BLOCK)
+    # Each rectangle's codes by (side, direction key), most significant first.
+    joint_keys = [[(k, vec.tobytes()) for k in (0, 1) for vec in rect[k]] for rect in rectangles]
+    measured = {key for keys in joint_keys for key in keys}
+    vectors = {vec.tobytes(): vec for rect in rectangles for side in rect for vec in side}
+    sides = ((model.possess_a, model.detect_a), (model.possess_b, model.detect_b))
+    joints = [np.zeros(4 ** len(keys), dtype=np.int64) for keys in joint_keys]
     index_buffer = np.empty(min(size, _BLOCK), dtype=np.intp)
     for start in range(0, size, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        block = axes[rows]
-        codes: tuple[dict[bytes, np.ndarray], ...] = ({}, {})
+        block, *us = model.sampler(rng, min(_BLOCK, size - start), out=_worker.buffers, reads=reads)
+        codes: dict[tuple[int, bytes], np.ndarray] = {}
         for key, vec in vectors.items():
             # One matrix-vector product per direction; a stacked one may round differently.
             alignment = block @ vec
             alignment.setflags(write=False)
-            for (possess, detect, u, measured), side_codes in zip(sides, codes):
-                if key in measured:
+            for k, ((possess, detect), u) in enumerate(zip(sides, us)):
+                if (k, key) in measured:
                     positive = np.asarray(possess(alignment)) > 0
-                    detected = np.asarray(detect(alignment, u[rows]), dtype=bool)
-                    side_codes[key] = 2 * detected.view(np.uint8) + positive
-        cell_index = index_buffer[: len(block)]
-        for s_idx, (key_a, key_b) in enumerate(keys):
-            np.add(4 * codes[0][key_a], codes[1][key_b], out=cell_index)
-            cells[s_idx] += np.bincount(cell_index, minlength=16)
-    return cells.reshape(-1, 4, 4)
+                    detected = np.asarray(detect(alignment, u), dtype=bool)
+                    codes[k, key] = 2 * detected.view(np.uint8) + positive
+        index = index_buffer[: len(block)]
+        for keys, joint in zip(joint_keys, joints):
+            np.copyto(index, codes[keys[0]])
+            for key in keys[1:]:
+                index <<= 2
+                index += codes[key]
+            joint += np.bincount(index, minlength=len(joint))
+    return np.concatenate([
+        _pair_cells(joint, len(rect[0]), len(rect[1])) for rect, joint in zip(rectangles, joints)
+    ])
 
 
 def _registered(cells: np.ndarray) -> np.ndarray:
@@ -435,27 +458,36 @@ def _registered(cells: np.ndarray) -> np.ndarray:
     return _CODE_TO_OUTCOME.T @ cells @ _CODE_TO_OUTCOME
 
 
+def _whole_number(name: str, value: float, least: int) -> int:
+    # int() alone would turn 2.5 into 2 and True into 1, and raise on nan or inf.
+    try:
+        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or value < least:
+        raise InputValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _run_tallies(
     model: MicrostateModel,
-    settings: Sequence[tuple[Direction, Direction]],
+    rectangles: Sequence[Rectangle],
     n_trials: int,
     seed: int,
     n_workers: int,
 ) -> np.ndarray:
-    """(settings, 4, 4) code cells over all trials; see the module docstring."""
-    if n_trials < 1:
-        raise InputValidationError(f"n_trials must be positive, got {n_trials!r}")
-    if int(seed) != seed or seed < 0:
-        raise InputValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    if n_workers < 1:
-        raise InputValidationError(f"n_workers must be positive, got {n_workers!r}")
-    if len(settings) == 0:
+    """(pairs, 4, 4) code cells over all trials, pairs in rectangle order; see
+    the module docstring."""
+    n_trials = _whole_number("n_trials", n_trials, 1)
+    seed = _whole_number("seed", seed, 0)
+    n_workers = _whole_number("n_workers", n_workers, 1)
+    if len(rectangles) == 0:
         raise InputValidationError("at least one setting is required")
-    pairs, reads = _effective_pairs(model, settings)
+    turned, reads = _effective_rectangles(model, rectangles)
 
     def chunk(job: tuple[int, int]) -> np.ndarray:
         index, size = job
-        return _chunk_tallies(model, pairs, size, int(seed), index, reads)
+        return _chunk_tallies(model, turned, size, seed, index, reads)
 
     n_chunks = -(-n_trials // CHUNK_SIZE)
     # A worker beyond the usable CPUs would only hold one more chunk in memory.
@@ -476,9 +508,9 @@ def run_experiment(
     The result is bit-identical for any n_workers; see the module docstring
     for the chunked substream scheme.
     """
-    cells = _run_tallies(model, settings, n_trials, seed, n_workers)
+    cells = _run_tallies(model, [((a,), (b,)) for a, b in settings], n_trials, seed, n_workers)
     pairs = tuple((a, b) for a, b in settings)
-    return SimulationSummary(n_trials, pairs, _registered(cells), int(seed))
+    return SimulationSummary(int(n_trials), pairs, _registered(cells), int(seed))
 
 
 def chsh_pairs(setting: ChshSetting) -> tuple[tuple[Direction, Direction], ...]:
@@ -537,7 +569,7 @@ def fair_sampling_check(
     A nonzero divergence is the signature of unfair sampling: the detected
     subensemble misrepresents the full one.
     """
-    cells = _run_tallies(model, [(a, b)], n_trials, seed, n_workers)
+    cells = _run_tallies(model, [((a,), (b,))], n_trials, seed, n_workers)
     result = _fair_sampling(cells[0], n_trials)
     if math.isnan(result.detected_freq):
         raise ZeroProbabilityError(
@@ -583,8 +615,9 @@ def simulate_chsh(
     frequencies, so it should agree with the direct all-trials combination
     whenever the two sides' detections are independent.
     """
-    cells = _run_tallies(model, chsh_pairs(setting), n_trials, seed, n_workers)
-    summary = SimulationSummary(n_trials, chsh_pairs(setting), _registered(cells), int(seed))
+    rectangle = ((setting.a, setting.a_prime), (setting.b, setting.b_prime))
+    cells = _run_tallies(model, [rectangle], n_trials, seed, n_workers)
+    summary = SimulationSummary(int(n_trials), chsh_pairs(setting), _registered(cells), int(seed))
     micro = tuple(summary.micro_correlation(i) for i in range(4))
     micro_se = tuple(summary.micro_correlation_se(i) for i in range(4))
     cond = tuple(summary.conditional_correlation(i) for i in range(4))

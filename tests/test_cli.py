@@ -366,7 +366,7 @@ class TestSimulate:
             for trials in ("200000", "2000000")
         )
         assert abs(large - small) <= 2 * 2**20
-        assert max(small, large) - bare <= 16 * 2**20
+        assert max(small, large) - bare <= 8 * 2**20
 
     def test_gisin_gisin_headline_numbers(self, capsys):
         code, out, _ = run_cli(

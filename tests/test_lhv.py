@@ -145,6 +145,22 @@ class TestSampler:
                 assert got_u.tobytes() == want_u.tobytes()
             assert rng.random() == reference_rng.random()
 
+    def test_consecutive_calls_continue_one_stream(self):
+        """Block-sized calls on one generator, into reused NaN-filled buffers,
+        give the bytes of one whole-array call and leave the generator where
+        it leaves it."""
+        counts = (1, lhv._BLOCK - 1, lhv._BLOCK, 7)
+        buffers = lhv._sampler_buffers(lhv._BLOCK)
+        for buffer in buffers:
+            buffer.fill(np.nan)
+        rng, reference_rng = np.random.default_rng(13), np.random.default_rng(13)
+        parts = [[got.copy() for got in sample_hidden_uniform(rng, n, out=buffers)]
+                 for n in counts]
+        whole = _whole_array_sampler(reference_rng, sum(counts))
+        for got, want in zip(zip(*parts), whole, strict=True):
+            assert np.concatenate(got).tobytes() == want.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_calls_without_buffers_do_not_alias(self):
         first = sample_hidden_uniform(np.random.default_rng(1), 100)
         second = sample_hidden_uniform(np.random.default_rng(1), 100)
@@ -342,6 +358,27 @@ class TestRunExperiment:
         with pytest.raises(InputValidationError):
             run_experiment(model, [], 10, 1)
 
+    @pytest.mark.parametrize("entry", ["run_experiment", "simulate_chsh", "fair_sampling_check"])
+    @pytest.mark.parametrize("name", ["n_trials", "seed", "n_workers"])
+    @pytest.mark.parametrize("value", [True, 2.5, math.nan, math.inf], ids=str)
+    def test_counts_must_be_whole_numbers(self, entry, name, value):
+        """Bools, fractions and non-finite values are refused, not truncated."""
+        arguments = {"n_trials": 1000, "seed": 3, "n_workers": 1, name: value}
+        calls = {
+            "run_experiment": lambda model, **kw: run_experiment(model, [(Z_AXIS, X_AXIS)], **kw),
+            "simulate_chsh": lambda model, **kw: simulate_chsh(model, ChshSetting.tsirelson(), **kw),
+            "fair_sampling_check": lambda model, **kw: fair_sampling_check(model, Z_AXIS, X_AXIS, **kw),
+        }
+        with pytest.raises(InputValidationError, match=name):
+            calls[entry](gisin_gisin_model(), **arguments)
+
+    def test_integral_floats_run_as_integers(self):
+        settings = [(Z_AXIS, X_AXIS)]
+        summary = run_experiment(gisin_gisin_model(), settings, 1000.0, 3.0, 2.0)
+        assert type(summary.n_trials) is int and type(summary.seed) is int
+        expected = run_experiment(gisin_gisin_model(), settings, 1000, 3, 2)
+        np.testing.assert_array_equal(summary.tallies, expected.tallies)
+
     def test_summary_validation(self):
         with pytest.raises(InputValidationError):
             SimulationSummary(
@@ -423,18 +460,33 @@ def _counting(model):
     return wrapped, calls
 
 
+def _chsh_rectangle(setting):
+    return (setting.a, setting.a_prime), (setting.b, setting.b_prime)
+
+
+def _pairs(rectangles):
+    """The pairs of a run of rectangles, in tally order."""
+    return [(a, b) for side_a, side_b in rectangles for a in side_a for b in side_b]
+
+
 def _pair_sets():
     rng = np.random.default_rng(71)
     random_setting = ChshSetting(*(random_direction(rng) for _ in range(4)))
-    distinct = [(random_direction(rng), random_direction(rng)) for _ in range(4)]
+    distinct = [((random_direction(rng),), (random_direction(rng),)) for _ in range(4)]
+    a, b, c, d = (random_direction(rng) for _ in range(4))
     down = Direction(0.0, 0.0, -1.0)
-    # (pairs, distinct directions per side, components read without a frame)
+    z_pairs = ((Z_AXIS, Z_AXIS), (down, Z_AXIS), (Z_AXIS, down), (down, down))
+    # (rectangles, distinct directions on side A and on side B, components
+    # read without a frame)
     return {
-        "chsh-tsirelson": (chsh_pairs(ChshSetting.tsirelson()), 2, (True, False, True)),
-        "chsh-random": (chsh_pairs(random_setting), 2, (True, True, True)),
-        "distinct": (tuple(distinct), 4, (True, True, True)),
-        "z-only": (((Z_AXIS, Z_AXIS), (down, Z_AXIS), (Z_AXIS, down), (down, down)), 2,
-                   (False, False, True)),
+        "chsh-tsirelson": ([_chsh_rectangle(ChshSetting.tsirelson())], (2, 2),
+                           (True, False, True)),
+        "chsh-random": ([_chsh_rectangle(random_setting)], (2, 2), (True, True, True)),
+        "distinct": (distinct, (4, 4), (True, True, True)),
+        "z-only": ([((x,), (y,)) for x, y in z_pairs], (2, 2), (False, False, True)),
+        "one-by-three": ([((a,), (b, c, d))], (1, 3), (True, True, True)),
+        "repeated-pair": ([((a,), (b,)), ((c,), (d,)), ((a,), (b,)), ((a, c), (b,))], (2, 2),
+                          (True, True, True)),
     }
 
 
@@ -445,32 +497,37 @@ class TestChunkTallies:
         ids=["gisin-gisin", "sign", "constant", "random-3", "int"],
     )
     @pytest.mark.parametrize("size", [lhv.CHUNK_SIZE, 1234, lhv._BLOCK + 1, 1])
-    @pytest.mark.parametrize("pair_set", ["chsh-tsirelson", "chsh-random", "distinct", "z-only"])
+    @pytest.mark.parametrize(
+        "pair_set",
+        ["chsh-tsirelson", "chsh-random", "distinct", "z-only", "one-by-three", "repeated-pair"],
+    )
     def test_fused_cells_match_per_pair_reference(self, factory, size, pair_set):
-        """Cells from the sample filled as the run reads it equal those of a
-        fully filled sample, and the per-pair reference on it."""
-        settings, directions_per_side, plain_reads = _pair_sets()[pair_set]
+        """Cells read off each rectangle's joint count, from the sample filled
+        as the run reads it, equal those of a fully filled sample, and the
+        per-pair reference on it."""
+        rectangles, (directions_a, directions_b), plain_reads = _pair_sets()[pair_set]
+        settings = _pairs(rectangles)
         model, calls = _counting(factory())
-        pairs, reads = lhv._effective_pairs(model, settings)
+        turned, reads = lhv._effective_rectangles(model, rectangles)
         if model.frame_a is None:
             assert reads == plain_reads
-        cells = lhv._chunk_tallies(model, pairs, size, 5, 3, reads)
+        cells = lhv._chunk_tallies(model, turned, size, 5, 3, reads)
         # each side's possess and detect run once per distinct direction per block
-        assert len(calls) == 4 * directions_per_side * math.ceil(size / lhv._BLOCK)
-        full = lhv._chunk_tallies(factory(), pairs, size, 5, 3, (True, True, True))
+        calls_per_block = 2 * (directions_a + directions_b)
+        assert len(calls) == calls_per_block * math.ceil(size / lhv._BLOCK)
+        full = lhv._chunk_tallies(factory(), turned, size, 5, 3, (True, True, True))
         np.testing.assert_array_equal(cells, full)
         registered, possession = _reference_tallies(factory(), settings, size, 5, 3)
-        assert cells.shape == (len(pairs), 4, 4)
+        assert cells.shape == (len(settings), 4, 4)
         np.testing.assert_array_equal(lhv._registered(cells), registered)
         # code = 2 * detected + positive, so axes 2 and 4 are the possessed signs
         np.testing.assert_array_equal(cells.reshape(-1, 2, 2, 2, 2).sum(axis=(1, 3)), possession)
-        assert cells.sum() == len(pairs) * size
-
+        assert cells.sum() == len(settings) * size
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_each_worker_thread_reuses_its_sampler_buffers(self, n_workers):
-        """The sampler runs once per chunk, and every chunk of one thread
-        draws into the same buffers."""
+        """The sampler runs once per block, and every block of one thread
+        draws into the same block-sized buffers."""
         calls = []
 
         def sampler(rng, count, *, out=None, reads=(True, True, True)):
@@ -483,10 +540,12 @@ class TestChunkTallies:
         summary = run_experiment(model, chsh_pairs(setting), 5 * lhv.CHUNK_SIZE + 7, 3, n_workers)
         plain = run_experiment(gisin_gisin_model(), chsh_pairs(setting), 5 * lhv.CHUNK_SIZE + 7, 3)
         np.testing.assert_array_equal(summary.tallies, plain.tallies)
-        assert len(calls) == 6
+        # 4 blocks per full chunk, and 1 for the 7-trial chunk
+        assert len(calls) == 5 * lhv.CHUNK_SIZE // lhv._BLOCK + 1 == 21
         buffers_by_thread = {}
         for thread, buffers in calls:
             assert buffers_by_thread.setdefault(thread, buffers) is buffers
+            assert len(buffers[0]) == len(buffers[1]) == lhv._BLOCK
 
     def test_a_response_cannot_write_into_its_alignment(self):
         """Alignments are shared between callables, so they are read-only."""
