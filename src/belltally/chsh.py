@@ -8,24 +8,25 @@ correlation by its pair of detection probabilities,
     |p_a (p_b E(a,b) - p_b' E(a,b'))| + |p_a' (p_b E(a',b) + p_b' E(a',b'))|,
 
 and the same bound of 2 then applies to all-trials statistics of local
-models even without fair sampling.  Setting the singlet correlations equal
-to -a.b turns the equal-detection-probability case of that bound into a
-threshold on the detection probability itself:
+models even without fair sampling.  With one shared detection probability
+p the weighted functional is p**2 times the standard one S, so the state
+shows no all-trials violation at a setting exactly when
 
-    p <= sqrt(2 / (|a.b - a.b'| + |a'.b + a'.b'|)),
+    p <= min(1, sqrt(2 / S)),
 
-whose global minimum over settings is 2**(-1/4) at the maximally violating
-angles.
+which for the singlet has its minimum 2**(-1/4) at the maximally violating
+angles.  Every correlation is E(a, b) = a . T b, with T the state's
+correlation tensor, and every bound comes from the standard functional.
 
-The standard functional and the bound's denominator are the weighted one at
-unit weights, on clipped correlations and on a.b.  Multiplying by 1.0 is
-exact, so one routine, _combination, evaluates all three to the bit.
+The standard functional is the weighted one at unit weights on clipped
+correlations.  Multiplying by 1.0 is exact, so one routine, _combination,
+evaluates both to the bit.
 
 Angle grids are coplanar (x-z plane) quadruples.  Grid extrema exploit the
 separability of the two absolute-value terms: the first depends on (a, b, b')
 only and the second on (a', b, b'), so the maximum over the full four-angle
-grid adds each term's maximum over its first angle, in O(N^3) operations.
-The detection-bound minimum takes O(N^2) on grids closed under rotation.
+grid adds each term's maximum over its first angle, in O(N^3) operations,
+or O(N^2) where the state and the grid are symmetric under rotation.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from .quantum import (
     SIGMA_Z,
     DensityState,
     Direction,
+    plane_components,
+    singlet_state,
     spin_label,
 )
 
@@ -71,12 +74,7 @@ class ChshSetting:
     def from_plane_angles(
         cls, a_deg: float, a_prime_deg: float, b_deg: float, b_prime_deg: float
     ) -> "ChshSetting":
-        return cls(
-            Direction.from_plane_degrees(a_deg),
-            Direction.from_plane_degrees(a_prime_deg),
-            Direction.from_plane_degrees(b_deg),
-            Direction.from_plane_degrees(b_prime_deg),
-        )
+        return cls(*map(Direction.from_plane_degrees, (a_deg, a_prime_deg, b_deg, b_prime_deg)))
 
     @classmethod
     def tsirelson(cls) -> "ChshSetting":
@@ -97,7 +95,8 @@ class ChshSetting:
 
 @dataclass(frozen=True)
 class ChshReport:
-    """One evaluation of both functionals at a setting."""
+    """One evaluation of both functionals at a setting; bound is the state's
+    equal-detection threshold there, min(1, sqrt(2 / standard_lhs))."""
 
     setting: ChshSetting
     e_ab: float
@@ -138,13 +137,8 @@ def _combination(e1, e2, e3, e4, weights=(1.0, 1.0, 1.0, 1.0)):
 
 
 def _bound_from_denominator(denominator):
-    """min(1, sqrt(2 / d)) elementwise, and 1 where d <= ALGEBRA_TOL."""
-    # The floor only avoids dividing by zero where np.where picks 1 anyway.
-    return np.where(
-        denominator <= ALGEBRA_TOL,
-        1.0,
-        np.minimum(1.0, np.sqrt(2.0 / np.maximum(denominator, ALGEBRA_TOL))),
-    )
+    """min(1, sqrt(2 / d)) elementwise, as sqrt(2 / max(d, 2)): 1 for d <= 2."""
+    return np.sqrt(2.0 / np.maximum(denominator, 2.0))
 
 
 def conditional_expectations(
@@ -177,9 +171,9 @@ def modified_chsh_lhs(
 ) -> ChshReport:
     """Evaluate both functionals at one setting and flag violations.
 
-    The report's bound field carries the equal-detection threshold of the
-    setting (see detection_bound); it reads as a bound on a shared detection
-    probability only when the four resolved values coincide.
+    The report's bound field is min(1, sqrt(2 / standard_lhs)) (see
+    detection_bound); it reads as a bound on a shared detection probability
+    only when the four resolved values coincide.
     """
     e1, e2, e3, e4 = conditional_expectations(state, setting)
     probs = resolve_setting_detection(det, state.label, setting)
@@ -194,33 +188,33 @@ def modified_chsh_lhs(
         standard_lhs=standard,
         modified_lhs=weighted,
         detection_probs=probs,
-        bound=detection_bound(setting),
+        bound=float(_bound_from_denominator(standard)),
         standard_violated=standard > 2.0 + VIOLATION_TOL,
         modified_violated=weighted > 2.0 + VIOLATION_TOL,
     )
 
 
-def detection_bound(setting: ChshSetting) -> float:
+def detection_bound(setting: ChshSetting, state: DensityState | None = None) -> float:
     """Largest shared detection probability with no all-trials violation.
 
-    sqrt(2 / (|a.b - a.b'| + |a'.b + a'.b'|)), capped at 1.  A vanishing
-    denominator places no constraint, so the cap applies.
+    min(1, sqrt(2 / S)), with S the standard functional of the state's
+    conditional correlations at the setting; the state defaults to the
+    singlet.  A vanishing S places no constraint, so the cap applies.
     """
-    a, a_prime, b, b_prime = setting.directions()
-    denominator = _combination(a.dot(b), a.dot(b_prime), a_prime.dot(b), a_prime.dot(b_prime))
-    return float(_bound_from_denominator(denominator))
+    e = conditional_expectations(singlet_state() if state is None else state, setting)
+    return float(_bound_from_denominator(standard_chsh_lhs(*e)))
 
 
-def _check_grid_step(step: float, turn: float, domain: str) -> None:
-    # Before any allocation: step in (0, turn / 4], and n x n floats indexable.
-    if not 0.0 < step <= turn / 4.0 + ALGEBRA_TOL:
-        raise InputValidationError(f"grid step must lie in {domain}, got {step!r}")
-    if (turn / step) * (turn / step) * 8.0 > np.iinfo(np.intp).max:
-        raise InputValidationError(f"grid step is too fine: {turn / step:.3g} angles per turn")
+def _check_grid_step(step_deg: float) -> None:
+    # Before any allocation: step in (0, 90], and n x n floats indexable.
+    if not 0.0 < step_deg <= 90.0 + ALGEBRA_TOL:
+        raise InputValidationError(f"grid step must lie in (0, 90] degrees, got {step_deg!r}")
+    if (360.0 / step_deg) * (360.0 / step_deg) * 8.0 > np.iinfo(np.intp).max:
+        raise InputValidationError(f"grid step is too fine: {360.0 / step_deg:.3g} angles per turn")
 
 
 def _grid_angles_deg(grid_step_deg: float) -> np.ndarray:
-    _check_grid_step(grid_step_deg, 360.0, "(0, 90] degrees")
+    _check_grid_step(grid_step_deg)
     return np.arange(0.0, 360.0 - 1e-9, grid_step_deg)
 
 
@@ -272,21 +266,6 @@ def _correlations(tensor: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
     return left @ tensor @ right.T
 
 
-def _dot_matrix(angles_rad: Sequence[float]) -> np.ndarray:
-    # Every a.b of the in-plane directions at angles_rad, from
-    # Direction.in_plane's components and summed in Direction.dot's order:
-    # Direction.in_plane(t).dot(Direction.in_plane(u)) to the bit.  The 0.0 is
-    # the y term, which turns a -0.0 product into +0.0 as dot does.
-    x = np.array([math.sin(t) for t in angles_rad])[:, None]
-    z = np.array([math.cos(t) for t in angles_rad])[:, None]
-    return x * x.T + 0.0 + z * z.T
-
-
-def _plane_components(angles_rad: np.ndarray) -> np.ndarray:
-    # (x, z) components of in-plane directions, matching _plane_block.
-    return np.stack([np.sin(angles_rad), np.cos(angles_rad)], axis=1)
-
-
 def modified_lhs_grid_max(
     state: DensityState,
     detection_probs: float | Sequence[float],
@@ -297,6 +276,12 @@ def modified_lhs_grid_max(
     detection_probs is a shared scalar or the four role values
     (a, a', b, b'); direction-resolved models cannot apply across a whole
     grid, so values are taken per role here.
+
+    When the state's x-z correlation block is exactly t I, as for the
+    singlet, and the grid is closed under rotation (count times step is 360
+    degrees), E depends only on angle differences and b = 0 loses nothing:
+    only column 0 of E goes in as _grid_max's left matrix, in O(N^2).  Other
+    states and open grids take the full O(N^3 / 2) kernel.
     """
     if np.isscalar(detection_probs):
         weights = (float(detection_probs),) * 4  # type: ignore[arg-type]
@@ -308,37 +293,34 @@ def modified_lhs_grid_max(
         if not 0.0 <= w <= 1.0:
             raise InputValidationError(f"detection probability {w!r} outside [0, 1]")
     angles_deg = _grid_angles_deg(grid_step_deg)
-    components = _plane_components(np.radians(angles_deg))
-    corr = _correlations(_plane_block(state), components, components)
+    components = plane_components(angles_deg)
+    block = _plane_block(state)
+    corr = _correlations(block, components, components)
+    closed = len(angles_deg) * grid_step_deg == 360.0
+    columns = 1 if closed and np.array_equal(block, block[0, 0] * np.eye(2)) else None
     pa, pap, pb, pbp = weights
-    (ia, iap, ib, ibp), value = _grid_max(pb * corr, pbp * corr, pa, pap)
+    (ia, iap, ib, ibp), value = _grid_max(pb * corr[:, :columns], pbp * corr, pa, pap)
     setting = ChshSetting.from_plane_angles(
         angles_deg[ia], angles_deg[iap], angles_deg[ib], angles_deg[ibp]
     )
     return setting, value
 
 
-def min_detection_bound(grid_step_deg: float = 1.0) -> float:
+def min_detection_bound(grid_step_deg: float = 1.0, state: DensityState | None = None) -> float:
     """Global minimum of detection_bound over the coplanar angle grid.
 
-    _grid_max, the kernel the functional grid maxima share, maximizes the
-    denominator |a.b - a.b'| + |a'.b + a'.b'|, with a.b from _dot_matrix.
-    It depends only on angle differences, so on a grid closed under rotation
-    (angle count times step is 360 degrees) b = 0 loses nothing, and only
-    column 0 of a.b goes in as the kernel's left matrix: O(N^2) operations.
-    Every step dividing 45 degrees then gives 2**(-1/4) correctly rounded.
-    An open grid has no such symmetry: it keeps the full symmetric matrix,
-    of which only b' >= b is evaluated, in O(N^3 / 2).
+    The bound of the standard functional's grid maximum,
+    modified_lhs_grid_max(state, 1.0, grid_step_deg); the state defaults to
+    the singlet, for which every step dividing 45 degrees gives 2**(-1/4)
+    correctly rounded.
     """
-    angles = _grid_angles_deg(grid_step_deg)
-    dots = _dot_matrix([math.radians(v) for v in angles.tolist()])
-    left = dots[:, :1] if len(angles) * grid_step_deg == 360.0 else dots
-    _, denominator = _grid_max(left, dots, 1.0, 1.0)
-    return float(_bound_from_denominator(denominator))
+    state = singlet_state() if state is None else state
+    _, standard = modified_lhs_grid_max(state, 1.0, grid_step_deg)
+    return float(_bound_from_denominator(standard))
 
 
-def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tuple:
-    """Check and lay out the coplanar scan with grid_step radians.
+def _scan_grid(state: DensityState, det: DetectionModel, grid_step_deg: float) -> tuple:
+    """Check and lay out the coplanar scan with grid_step_deg degrees.
 
     Returns the grid directions; the detection probabilities of each grid
     angle per role (a, a', b, b'), resolved through spin_label; the
@@ -346,16 +328,14 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tu
     _scan_slabs iterator, holding one slab of at most max(_SLAB_ROWS,
     n**2) rows at a time.  Every input check runs before this returns.
     """
-    _check_grid_step(grid_step, 2.0 * math.pi, "(0, pi/2] radians")
-    count = int(math.floor(2.0 * math.pi / grid_step + 1e-9))
-    angles = np.arange(count) * grid_step
-    components = _plane_components(angles)
+    _check_grid_step(grid_step_deg)
+    count = int(math.floor(360.0 / grid_step_deg + 1e-9))
+    components = plane_components(np.arange(count) * grid_step_deg)
     corr = _correlations(_plane_block(state), components, components)
     outside = np.abs(corr) > 1.0 + 1e-9
     if outside.any():
         raise InputValidationError(f"correlation {float(corr[outside][0])!r} lies outside [-1, 1]")
-    radians = angles.tolist()
-    directions = [Direction.in_plane(theta) for theta in radians]
+    directions = [Direction(x, 0.0, z) for x, z in components.tolist()]
     probs = []
     for role, subsystem in _ROLES:
         try:
@@ -364,20 +344,18 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step: float) -> tu
             )
         except ConfigurationError as exc:
             raise ConfigurationError(f"scan cannot resolve role {role!r}: {exc}") from None
-    return directions, probs, corr, _scan_slabs(corr, _dot_matrix(radians), probs)
+    return directions, probs, corr, _scan_slabs(corr, probs)
 
 
-def _scan_slabs(
-    corr: np.ndarray, dots: np.ndarray, probs: Sequence[Sequence[float]]
-) -> Iterator[tuple]:
+def _scan_slabs(corr: np.ndarray, probs: Sequence[Sequence[float]]) -> Iterator[tuple]:
     """Yield (ia, aps, standard, modified, bound, standard_violated,
     modified_violated) per slab in lexicographic order: one a and a slice aps
     of k = max(1, min(n, _SLAB_ROWS // n**2)) a' (fewer at the end of a's
     run), the last five as arrays indexed [a' - aps.start, b, b'].
 
-    Each slab is one _combination call per functional, the same one
-    standard_chsh_lhs, modified_chsh_lhs and detection_bound make (with a.b
-    from _dot_matrix), so every row equals the scalar results bit for bit.
+    Each slab is one _combination call per functional and the bound of the
+    standard one, as in standard_chsh_lhs and modified_chsh_lhs, so every
+    row equals the scalar results bit for bit.
     """
     n = len(corr)
     k = max(1, min(n, _SLAB_ROWS // (n * n)))
@@ -386,7 +364,6 @@ def _scan_slabs(
     clipped = np.clip(corr, -1.0, 1.0)
     clipped_b, clipped_bp = clipped[:, :, None], clipped[:, None, :]
     corr_b, corr_bp = corr[:, :, None], corr[:, None, :]
-    dots_b, dots_bp = dots[:, :, None], dots[:, None, :]
     pap, pb, pbp = pap[:, None, None], pb[:, None], pbp[None, :]
     for ia, start in product(range(n), range(0, n, k)):
         aps = slice(start, min(start + k, n))
@@ -394,19 +371,11 @@ def _scan_slabs(
         modified = _combination(
             corr_b[ia], corr_bp[ia], corr_b[aps], corr_bp[aps], (pa[ia], pap[aps], pb, pbp)
         )
-        bound = _bound_from_denominator(
-            _combination(dots_b[ia], dots_bp[ia], dots_b[aps], dots_bp[aps])
-        )
-        # ChshReport's range checks, on the whole slab.
+        # ChshReport's range checks, on the whole slab; bounds of values >= 0 pass.
         if standard.min() < 0.0 or modified.min() < 0.0:
             raise InputValidationError("functional values cannot be negative")
-        outside = ~((bound > 0.0) & (bound <= 1.0))
-        if outside.any():
-            raise InputValidationError(
-                f"bound must lie in (0, 1], got {float(bound[outside][0])!r}"
-            )
         yield (
-            ia, aps, standard, modified, bound,
+            ia, aps, standard, modified, _bound_from_denominator(standard),
             standard > 2.0 + VIOLATION_TOL, modified > 2.0 + VIOLATION_TOL,
         )
 
@@ -421,7 +390,7 @@ def angle_scan(
     per direction with role-alias and default fallback; an unresolvable
     entry raises a ConfigurationError naming the role.
     """
-    directions, (pa, pap, pb, pbp), corr, slabs = _scan_grid(state, det, grid_step)
+    directions, (pa, pap, pb, pbp), corr, slabs = _scan_grid(state, det, math.degrees(grid_step))
     e = corr.tolist()
     grid = range(len(directions))
     for ia, aps, *columns in slabs:

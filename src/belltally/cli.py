@@ -274,11 +274,12 @@ def _emit(cfg: ExperimentConfig, payload: dict[str, Any], columns: list[str], ro
 
 
 def cmd_bound(cfg: ExperimentConfig) -> int:
-    """Report the equal-detection threshold for a setting and its grid minimum."""
+    """Report the state's equal-detection threshold for a setting and its grid minimum."""
+    state = cfg.resolve_state()
     setting = cfg.resolve_setting()
     step = cfg.grid_step_deg if cfg.grid_step_deg is not None else 1.0
-    bound = detection_bound(setting)
-    grid_min = min_detection_bound(step)
+    bound = detection_bound(setting, state)
+    grid_min = min_detection_bound(step, state)
     angles = setting.plane_angles_deg()
     point = {"bound": bound, "no_registration_lower_bound": 1.0 - bound}
     grid = {"grid_min_bound": grid_min, "grid_min_no_registration_lower_bound": 1.0 - grid_min}
@@ -410,7 +411,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     state = cfg.resolve_state()
     det = cfg.resolve_detection(state.label, tuple(role for role, _ in _ROLES))
     step = cfg.grid_step_deg if cfg.grid_step_deg is not None else 45.0
-    scan = _scan_grid(state, det, math.radians(step))
+    scan = _scan_grid(state, det, step)
     if cfg.format == "json":
         sys.stdout.write(
             '{\n  "schema_version": %s,\n  "grid_step_deg": %s,\n  "rows": [\n'

@@ -34,6 +34,30 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
+def plane_components(angles_deg) -> np.ndarray:
+    """(x, z) components of the x-z plane directions at angles_deg degrees
+    from the z axis, one row per angle.
+
+    fmod, then Sterbenz's lemma, reduce each angle exactly to r in
+    [-45, 45] about a multiple k of 90 degrees, and the components are those
+    of r turned by k quarter turns.  Multiples of 90 degrees thus give exact
+    0 and +-1, odd multiples of 45 give sqrt(0.5), and no component is -0.0.
+    """
+    angles = np.asarray(angles_deg, dtype=float)
+    bad = angles[~np.isfinite(angles)]
+    if bad.size:
+        raise InputValidationError(f"angle must be finite, got {float(bad[0])!r}")
+    turns = np.fmod(angles, 360.0)
+    quarters = np.rint(turns / 90.0)
+    rest = turns - 90.0 * quarters
+    half = np.abs(rest) == 45.0
+    sin = np.where(half, np.copysign(math.sqrt(0.5), rest), np.sin(np.radians(rest)))
+    cos = np.where(half, math.sqrt(0.5), np.cos(np.radians(rest)))
+    # Turning (sin, cos) by k quarter turns gives (cycle[k], cycle[k + 1]).
+    cycle, k = np.stack([sin, cos, -sin, -cos]), quarters.astype(int) % 4
+    return np.stack([np.choose(k, cycle), np.choose((k + 1) % 4, cycle)], axis=-1) + 0.0
+
+
 def _frozen_copy(matrix: np.ndarray) -> np.ndarray:
     out = np.array(matrix, dtype=complex, copy=True)
     out.setflags(write=False)
@@ -57,15 +81,10 @@ class Direction:
             )
 
     @classmethod
-    def in_plane(cls, angle_rad: float) -> "Direction":
-        """Direction at ``angle_rad`` from the z axis inside the x-z plane."""
-        if not math.isfinite(angle_rad):
-            raise InputValidationError(f"angle must be finite, got {angle_rad!r}")
-        return cls(math.sin(angle_rad), 0.0, math.cos(angle_rad))
-
-    @classmethod
     def from_plane_degrees(cls, angle_deg: float) -> "Direction":
-        return cls.in_plane(math.radians(angle_deg))
+        """Direction at ``angle_deg`` degrees from the z axis inside the x-z plane."""
+        x, z = plane_components([angle_deg])[0].tolist()
+        return cls(x, 0.0, z)
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "Direction":
@@ -165,9 +184,9 @@ class ProjectiveObservable:
 
 
 def singlet_state(label: str = "singlet") -> DensityState:
-    """Projector onto (|+-> - |-+>)/sqrt(2)."""
-    ket = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    return DensityState(np.outer(ket, ket.conj()), label)
+    """Projector onto (|+-> - |-+>)/sqrt(2), from its exact entries +-0.5."""
+    ket = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex)
+    return DensityState(0.5 * np.outer(ket, ket), label)
 
 
 def spin_label(direction: Direction, subsystem: int) -> str:

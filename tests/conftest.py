@@ -6,7 +6,7 @@ tests exercise full-rank mixed states rather than just the singlet.
 """
 import numpy as np
 
-from belltally import DensityState, Direction
+from belltally import DensityState, Direction, singlet_state
 
 
 def random_direction(rng: np.random.Generator) -> Direction:
@@ -20,3 +20,9 @@ def random_density_state(rng: np.random.Generator, label: str = "random") -> Den
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return DensityState(rho, label)
+
+
+def werner_state(visibility: float) -> DensityState:
+    """visibility * singlet + (1 - visibility) * I / 4: correlation tensor -visibility * I."""
+    mixed = visibility * singlet_state().matrix + (1.0 - visibility) / 4.0 * np.eye(4)
+    return DensityState(mixed, "werner")

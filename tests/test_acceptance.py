@@ -77,7 +77,7 @@ def test_02_tsirelson_value():
     clock = Stopwatch(1.0)
     expectations = conditional_expectations(singlet_state(), ChshSetting.tsirelson())
     value = standard_chsh_lhs(*expectations)
-    assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+    assert value == 2 * math.sqrt(2)
     elapsed = clock.check()
     print(f"[acceptance 02] PASS tsirelson combination {value:.12f}, {elapsed:.2f}s")
 
@@ -86,6 +86,7 @@ def test_03_detection_bound_and_grid_minimum():
     clock = Stopwatch(60.0)
     bound = detection_bound(ChshSetting.tsirelson())
     assert bound == pytest.approx(0.840896, abs=1e-6)
+    assert bound == 2 ** -0.25
     assert 1.0 - bound == pytest.approx(0.159104, abs=1e-6)
     grid_min = min_detection_bound(1.0)
     assert grid_min == 2 ** -0.25
@@ -192,6 +193,9 @@ def test_08_micro_chsh_property_suite():
         ChshSetting(*(random_direction(rng) for _ in range(4))) for _ in range(50)
     ]
     top = -10.0
+    # Product of the A and B outcomes (-1, 0, +1) of each tally cell.
+    products = np.outer([-1, 0, 1], [-1, 0, 1])
+    slack = 2 * 20_000
     for model_index in range(50):
         model = random_microstate_model(model_index)
         for setting_index, setting in enumerate(settings):
@@ -203,11 +207,19 @@ def test_08_micro_chsh_property_suite():
                 f"model {model_index}, setting {setting_index}: {value:.4f} "
                 f"exceeds 2 + 4x{sigma:.4f}"
             )
+            # Exact for a local model evaluating all four pairs on every trial
+            # (Clauser, Horne, Shimony and Holt, PRL 23, 880 (1969)).
+            n1, n2, n3, n4 = (int((t * products).sum()) for t in summary.tallies)
+            assert abs(n1 - n2) + abs(n3 + n4) <= 2 * summary.n_trials, (
+                f"model {model_index}, setting {setting_index}: integer CHSH sum "
+                f"{abs(n1 - n2) + abs(n3 + n4)} exceeds 2n = {2 * summary.n_trials}"
+            )
+            slack = min(slack, 2 * summary.n_trials - abs(n1 - n2) - abs(n3 + n4))
             top = max(top, value)
     elapsed = clock.check()
     print(
         f"[acceptance 08] PASS 2500 local-model estimates bounded by 2, "
-        f"largest {top:.4f}, {elapsed:.1f}s"
+        f"largest {top:.4f}, least integer slack {slack}, {elapsed:.1f}s"
     )
 
 

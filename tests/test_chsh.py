@@ -36,15 +36,13 @@ from belltally import (
 from belltally import chsh
 from belltally.chsh import (
     _correlations,
-    _dot_matrix,
     _grid_angles_deg,
     _combination,
-    _bound_from_denominator,
     _grid_max,
     _plane_block,
-    _plane_components,
 )
-from conftest import random_density_state, random_direction
+from belltally.quantum import plane_components
+from conftest import random_density_state, random_direction, werner_state
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 QUARTER_ROOT = 2.0 ** -0.25
@@ -59,15 +57,18 @@ def plane_correlations(state: DensityState, angles_deg) -> np.ndarray:
     )
 
 
-def direction_dots(directions) -> np.ndarray:
-    """Reference for _dot_matrix: every a.b by Direction.dot."""
-    return np.array([[a.dot(b) for b in directions] for a in directions])
+def grid_correlations(state: DensityState, step: float) -> np.ndarray:
+    """The kernel's correlation matrix over the grid of modified_lhs_grid_max."""
+    components = plane_components(_grid_angles_deg(step))
+    return _correlations(_plane_block(state), components, components)
 
 
-def brute_force_grid_max(corr: np.ndarray, weights=(1.0, 1.0, 1.0, 1.0)) -> float:
+def brute_force_grid_max(corr: np.ndarray, weights=(1.0, 1.0, 1.0, 1.0), b_count=None) -> float:
+    """Literal maximum over every (a, a', b, b'), or over the first b_count b."""
     pa, pap, pb, pbp = weights
-    term_minus = np.abs(pa * (pb * corr[:, None, :, None] - pbp * corr[:, None, None, :]))
-    term_plus = np.abs(pap * (pb * corr[None, :, :, None] + pbp * corr[None, :, None, :]))
+    corr_b = corr[:, :b_count]
+    term_minus = np.abs(pa * (pb * corr_b[:, None, :, None] - pbp * corr[:, None, None, :]))
+    term_plus = np.abs(pap * (pb * corr_b[None, :, :, None] + pbp * corr[None, :, None, :]))
     return float((term_minus + term_plus).max())
 
 
@@ -158,7 +159,10 @@ class TestStandardLhs:
         """The four singlet correlations at the 0/90/45/135 preset combine
         to 2 sqrt(2)."""
         values = conditional_expectations(singlet_state(), ChshSetting.tsirelson())
-        assert standard_chsh_lhs(*values) == pytest.approx(TSIRELSON, abs=1e-12)
+        assert standard_chsh_lhs(*values) == TSIRELSON
+
+    def test_singlet_tensor_is_exactly_minus_identity(self):
+        assert np.array_equal(chsh._correlation_tensor(singlet_state()), -np.eye(3))
 
     def test_all_directions_equal(self):
         d = Direction.from_plane_degrees(30.0)
@@ -264,9 +268,7 @@ class TestModifiedLhs:
 
 class TestDetectionBound:
     def test_tsirelson_value(self):
-        assert detection_bound(ChshSetting.tsirelson()) == pytest.approx(
-            QUARTER_ROOT, abs=1e-12
-        )
+        assert detection_bound(ChshSetting.tsirelson()) == QUARTER_ROOT
         assert 1.0 - detection_bound(ChshSetting.tsirelson()) == pytest.approx(
             0.159104, abs=1e-6
         )
@@ -298,15 +300,15 @@ class TestDetectionBound:
         [
             (0.75, 2 ** -0.25),
             (1.0, 2 ** -0.25),
-            (2.0, 0.84096045886793),
+            (2.0, 0.8409604588679301),
             (3.3, 0.8409279791074584),
             (5.0, 2 ** -0.25),
             (7.5, 2 ** -0.25),
             (13.0, 0.8419522980629391),
             (15.0, 2 ** -0.25),
-            (30.0, 0.8555996771673521),
+            (30.0, 0.8555996771673522),
             (45.0, 2 ** -0.25),
-            (60.0, 0.8944271909999157),
+            (60.0, 0.8944271909999159),
             (90.0, 1.0),
         ],
     )
@@ -316,13 +318,9 @@ class TestDetectionBound:
         grids miss them, and their floats are pinned as computed."""
         assert min_detection_bound(step) == expected
 
-    @pytest.mark.parametrize(
-        "step, columns", [(1.0, 1), (2.0, 1), (7.5, 1), (90.0, 1), (3.3, 110), (13.0, 28)]
-    )
-    def test_closed_grids_pass_one_column(self, monkeypatch, step, columns):
-        """A grid closed under rotation passes only column 0 of a.b as the
-        kernel's left matrix; 3.3 and 13 degrees do not close, so they pass
-        the whole matrix as both arguments."""
+    @staticmethod
+    def recorded_grid_max(monkeypatch, state, step):
+        """The (left, right) matrices that min_detection_bound passes _grid_max."""
         calls = []
 
         def recorder(left, right, pa, pap):
@@ -330,41 +328,104 @@ class TestDetectionBound:
             return _grid_max(left, right, pa, pap)
 
         monkeypatch.setattr(chsh, "_grid_max", recorder)
-        min_detection_bound(step)
+        min_detection_bound(step, state)
         [(left, right)] = calls
-        dots = _dot_matrix([math.radians(v) for v in _grid_angles_deg(step).tolist()])
-        assert left.shape == (len(dots), columns)
-        assert np.array_equal(left, dots[:, :columns])
-        assert np.array_equal(right, dots)
+        return left, right
+
+    @pytest.mark.parametrize(
+        "step, columns", [(1.0, 1), (2.0, 1), (7.5, 1), (90.0, 1), (3.3, 110), (13.0, 28)]
+    )
+    def test_closed_grids_pass_one_column(self, monkeypatch, step, columns):
+        """A grid closed under rotation passes only column 0 of the singlet's
+        E as the kernel's left matrix; 3.3 and 13 degrees do not close, so
+        they pass the whole matrix as both arguments."""
+        left, right = self.recorded_grid_max(monkeypatch, singlet_state(), step)
+        corr = grid_correlations(singlet_state(), step)
+        assert left.shape == (len(corr), columns)
+        assert np.array_equal(left, corr[:, :columns])
+        assert np.array_equal(right, corr)
+
+    @pytest.mark.parametrize(
+        "state, step, columns",
+        [
+            ("werner-0.8", 5.0, 1),
+            ("werner-0.95", 15.0, 1),
+            ("werner-0.8", 13.0, 28),
+            ("random", 5.0, 72),
+            ("random", 15.0, 24),
+        ],
+    )
+    def test_only_isotropic_states_pass_one_column(self, monkeypatch, state, step, columns):
+        """Werner states, whose x-z block is exactly t I, take the one-column
+        path on closed grids as the singlet does; an anisotropic state passes
+        the whole matrix on every grid."""
+        if state == "random":
+            rho = random_density_state(np.random.default_rng(331))
+        else:
+            rho = werner_state(float(state.split("-")[1]))
+        left, right = self.recorded_grid_max(monkeypatch, rho, step)
+        corr = grid_correlations(rho, step)
+        assert left.shape == (len(corr), columns)
+        assert np.array_equal(left, corr[:, :columns])
+        assert np.array_equal(right, corr)
 
     def test_invalid_grid_step(self):
         with pytest.raises(InputValidationError):
             min_detection_bound(0.0)
 
     @pytest.mark.parametrize("step", [1.0, 0.25, 7.0, 13.0, 15.0])
-    def test_dot_matrix_matches_direction_dot(self, step):
-        """_dot_matrix from radians equals Direction.dot on the in-plane
-        directions byte for byte, signs of zeros included."""
-        radians = [math.radians(v) for v in _grid_angles_deg(step).tolist()]
-        expected = direction_dots([Direction.in_plane(t) for t in radians])
-        assert _dot_matrix(radians).tobytes() == expected.tobytes()
+    def test_grid_components_match_setting_directions(self, step):
+        """The grid's components equal those of Direction.from_plane_degrees
+        at each grid angle byte for byte, so a grid maximum's setting holds
+        the directions its value was computed from."""
+        angles = _grid_angles_deg(step).tolist()
+        expected = [[d.x, d.z] for d in map(Direction.from_plane_degrees, angles)]
+        assert plane_components(angles).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("visibility", [0.8, 0.95])
+    @pytest.mark.parametrize("step", [1.0, 5.0, 9.0, 15.0, 45.0])
+    def test_werner_grid_minimum_is_the_closed_form(self, visibility, step):
+        """A Werner state's coplanar maximum is 2 sqrt(2) V, reached on every
+        grid whose step divides 45 degrees, so its bound is (sqrt(2) V)**-1/2
+        (Horodecki, Phys. Lett. A 200, 340 (1995))."""
+        bound = min_detection_bound(step, werner_state(visibility))
+        assert bound == pytest.approx((math.sqrt(2.0) * visibility) ** -0.5, abs=1e-15)
+
+    def test_bound_belongs_to_the_state(self):
+        """At the Tsirelson angles a Werner state of visibility 0.8 has
+        S = 2 sqrt(2) 0.8, and detection_bound takes it from that S."""
+        setting, werner = ChshSetting.tsirelson(), werner_state(0.8)
+        standard = standard_chsh_lhs(*conditional_expectations(werner, setting))
+        assert standard == pytest.approx(2.0 * math.sqrt(2.0) * 0.8, abs=1e-15)
+        assert detection_bound(setting, werner) == math.sqrt(2.0 / standard)
+        assert f"{detection_bound(setting, werner):.6f}" == "0.940151"
 
 
 class TestGridMax:
+    # The literal maxima run on the kernel's own correlation matrix, which
+    # the projector route confirms to 1e-15; the two round differently in
+    # the last bit.
     def test_standard_matches_brute_force_singlet(self):
-        """Separable reduction vs a literal four-way maximum at 30 degrees."""
-        angles = np.arange(0.0, 360.0, 30.0)
-        corr = plane_correlations(singlet_state(), angles)
+        """Separable reduction vs a literal four-way maximum at 30 degrees.
+        The singlet's closed grid searches b = 0 only, which the literal
+        maximum over b = 0 matches exactly and the full one bounds to ulps."""
+        corr = grid_correlations(singlet_state(), 30.0)
+        np.testing.assert_allclose(
+            corr, plane_correlations(singlet_state(), np.arange(0.0, 360.0, 30.0)), atol=1e-15
+        )
         setting, value = modified_lhs_grid_max(singlet_state(), 1.0, 30.0)
-        assert value == brute_force_grid_max(corr)
+        assert value == brute_force_grid_max(corr, b_count=1)
+        assert 0.0 <= brute_force_grid_max(corr) - value <= 4.0 * math.ulp(value)
         achieved = standard_chsh_lhs(*conditional_expectations(singlet_state(), setting))
         assert achieved == pytest.approx(value, abs=1e-10)
 
     def test_standard_matches_brute_force_random_state(self):
         rng = np.random.default_rng(101)
         state = random_density_state(rng)
-        angles = np.arange(0.0, 360.0, 30.0)
-        corr = plane_correlations(state, angles)
+        corr = grid_correlations(state, 30.0)
+        np.testing.assert_allclose(
+            corr, plane_correlations(state, np.arange(0.0, 360.0, 30.0)), atol=1e-15
+        )
         _, value = modified_lhs_grid_max(state, 1.0, 30.0)
         assert value == brute_force_grid_max(corr)
 
@@ -372,14 +433,16 @@ class TestGridMax:
         rng = np.random.default_rng(103)
         state = random_density_state(rng)
         weights = tuple(rng.uniform(0.2, 1.0, size=4))
-        angles = np.arange(0.0, 360.0, 30.0)
-        corr = plane_correlations(state, angles)
+        corr = grid_correlations(state, 30.0)
+        np.testing.assert_allclose(
+            corr, plane_correlations(state, np.arange(0.0, 360.0, 30.0)), atol=1e-15
+        )
         _, value = modified_lhs_grid_max(state, weights, 30.0)
         assert value == brute_force_grid_max(corr, weights)
 
     # The reference loop takes about 0.5 s per call at 1 degree, so that grid
     # runs only a cosine matrix and the one-column left matrix that
-    # min_detection_bound passes on closed grids.  An integer matrix is the
+    # modified_lhs_grid_max passes for the singlet on closed grids.  An integer matrix is the
     # seed of a random state.
     @pytest.mark.parametrize(
         "matrix, step",
@@ -392,7 +455,7 @@ class TestGridMax:
         angles = np.radians(_grid_angles_deg(step))
         columns = None
         if matrix == "column":
-            corr = _dot_matrix(angles.tolist())
+            corr = grid_correlations(singlet_state(), step)
             columns = 1
         elif matrix == "cosine":
             corr = np.cos(angles[:, None] - angles[None, :])
@@ -401,8 +464,7 @@ class TestGridMax:
                 state = singlet_state()
             else:
                 state = random_density_state(np.random.default_rng(matrix))
-            components = _plane_components(angles)
-            corr = _correlations(_plane_block(state), components, components)
+            corr = grid_correlations(state, step)
         unequal = tuple(np.random.default_rng(223).uniform(0.2, 1.0, size=4))
         for pa, pap, pb, pbp in [
             (1.0, 1.0, 1.0, 1.0),
@@ -445,7 +507,7 @@ class TestGridMax:
             modified_lhs_grid_max(singlet_state(), 1.2, 15.0)
 
 
-def reference_scan_blocks(corr, dots, probs):
+def reference_scan_blocks(corr, probs):
     """Reference for chsh._scan_slabs: the per-(a, a') block loop it replaced.
 
     Yields (ia, iap, standard, modified, bound, standard_violated,
@@ -456,16 +518,14 @@ def reference_scan_blocks(corr, dots, probs):
     clipped = np.clip(corr, -1.0, 1.0)
     clipped_b, clipped_bp = clipped[:, :, None], clipped[:, None, :]
     corr_b, corr_bp = corr[:, :, None], corr[:, None, :]
-    dots_b, dots_bp = dots[:, :, None], dots[:, None, :]
     pb, pbp = pb[:, None], pbp[None, :]
     for ia, iap in product(range(len(corr)), repeat=2):
         standard = _combination(clipped_b[ia], clipped_bp[ia], clipped_b[iap], clipped_bp[iap])
         modified = _combination(
             corr_b[ia], corr_bp[ia], corr_b[iap], corr_bp[iap], (pa[ia], pap[iap], pb, pbp)
         )
-        bound = _bound_from_denominator(
-            _combination(dots_b[ia], dots_bp[ia], dots_b[iap], dots_bp[iap])
-        )
+        with np.errstate(divide="ignore"):
+            bound = np.minimum(1.0, np.sqrt(2.0 / standard))
         yield (
             ia, iap, standard, modified, bound,
             standard > 2.0 + chsh.VIOLATION_TOL, modified > 2.0 + chsh.VIOLATION_TOL,
@@ -524,7 +584,7 @@ class TestAngleScan:
         unscaled = chsh._correlations
         monkeypatch.setattr(chsh, "_correlations", lambda *args: unscaled(*args) * (1.0 + 5e-10))
         state, det = singlet_state(), DetectionModel.uniform(1.0)
-        _, _, corr, slabs = chsh._scan_grid(state, det, math.pi / 4.0)
+        _, _, corr, slabs = chsh._scan_grid(state, det, 45.0)
         assert 1.0 < np.abs(corr).max() <= 1.0 + 1e-9
         e, grid = corr.tolist(), range(len(corr))
         rows = 0
@@ -564,9 +624,9 @@ class TestScanSlabs:
         entries[("mixed", spin_label(Direction.from_plane_degrees(45.0), 1))] = 0.5
         entries[("mixed", spin_label(Direction.from_plane_degrees(90.0), 2))] = 0.7
         det = DetectionModel(entries=entries, apparatus_factor=0.97)
-        directions, probs, corr, slabs = chsh._scan_grid(state, det, math.pi / 4.0)
+        directions, probs, corr, slabs = chsh._scan_grid(state, det, 45.0)
         n = len(directions)
-        reference = reference_scan_blocks(corr, direction_dots(directions), probs)
+        reference = reference_scan_blocks(corr, probs)
         runs = []
         for ia, aps, *columns in slabs:
             runs.append((ia, aps.start, aps.stop))

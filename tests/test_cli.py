@@ -33,6 +33,7 @@ from belltally import (
 )
 from belltally import chsh
 from belltally.cli import MODELS, _fixed6, _scan_csv, build_parser, main
+from conftest import werner_state
 
 TSIRELSON_VECTORS = (
     "0,0,1;1,0,0;"
@@ -134,7 +135,48 @@ class TestBound:
         assert payload["bound"] == pytest.approx(expected, abs=1e-12)
 
 
+    def test_config_state_sets_both_bounds(self, capsys, tmp_path):
+        """bound reads the config's state: a Werner state of visibility 0.8
+        has the threshold (sqrt(2) 0.8)**-1/2 at the preset and on the grid."""
+        werner = werner_state(0.8)
+        cfg = tmp_path / "werner.json"
+        cfg.write_text(json.dumps({"state": werner.matrix.real.tolist()}))
+        code, out, err = run_cli(capsys, "bound", "--config", str(cfg))
+        assert code == 0 and err == ""
+        assert csv_rows(out)[1][4:] == ["0.940151", "0.059849", "0.940151", "0.059849"]
+        code, out, _ = run_cli(capsys, "bound", "--config", str(cfg), "--format", "json")
+        payload = json.loads(out)
+        assert payload["bound"] == detection_bound(ChshSetting.tsirelson(), werner)
+        assert payload["grid_min_bound"] == min_detection_bound(1.0, werner)
+
+
 class TestScan:
+    def test_bound_column_belongs_to_the_config_state(self, capsys, tmp_path):
+        """Every row's bound is min(1, sqrt(2 / standard_lhs)) of the config's
+        state: for a random pure state, which violates on the 45 degree grid,
+        and 0.940151 at the preset angles for a Werner state of visibility 0.8."""
+        rng = np.random.default_rng(0)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        states = {
+            "random": [[[v.real, v.imag] for v in row] for row in rho],
+            "werner": werner_state(0.8).matrix.real.tolist(),
+        }
+        for name, state in states.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"state": state}))
+            code, out, err = run_cli(capsys, "scan", "--config", str(cfg), "--grid-step", "45")
+            assert code == 0 and err == ""
+            rows = csv_rows(out)[1:]
+            assert len(rows) == 8**4
+            standard = np.array([float(row[8]) for row in rows])
+            bound = np.array([float(row[10]) for row in rows])
+            expected = np.minimum(1.0, np.sqrt(2.0 / np.maximum(standard, 1e-300)))
+            assert np.abs(bound - expected).max() <= 1e-6
+            assert bound.min() < 0.99
+        preset = ["0.000000", "90.000000", "45.000000", "135.000000"]
+        assert [row[10] for row in rows if row[:4] == preset] == ["0.940151"]
+
     def test_default_grid_hits_the_preset(self, capsys):
         code, out, _ = run_cli(capsys, "scan")
         assert code == 0
@@ -240,7 +282,7 @@ class TestScan:
         for angle, subsystem, p in ((45.0, 1, 0.5), (270.0, 1, 0.6), (90.0, 2, 0.7)):
             entries[("singlet", spin_label(Direction.from_plane_degrees(angle), subsystem))] = p
         det = DetectionModel(entries=entries)
-        text = "".join(_scan_csv(chsh._scan_grid(singlet_state(), det, math.pi / 4.0)))
+        text = "".join(_scan_csv(chsh._scan_grid(singlet_state(), det, 45.0)))
         expected = []
         for r in angle_scan(singlet_state(), det, math.pi / 4.0):
             cells = [*r.setting.plane_angles_deg(), *r.detection_probs]

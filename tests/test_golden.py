@@ -13,7 +13,10 @@ checked at one and at two workers.  Four of the scans are rerun with the
 scan's slab size patched, so that their bytes cannot depend on it.
 
 The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
-Do that only for an intended output change, and declare it.
+Do that only for an intended output change, and declare it.  The same run
+prints the current sha256 of every GOLDEN_DIGESTS and SIMULATE_DIGESTS
+command (simulate at one worker) to stderr; the digests are not rewritten,
+so a declared change edits them in this file by hand.
 """
 import contextlib
 import hashlib
@@ -54,7 +57,7 @@ GOLDEN_DIGESTS = {
     ),
     "scan-30.json": (
         ["scan", "--grid-step", "30", "--format", "json"],
-        "5019ba72e975a5aeff4268120dfcde1dca0d16d260e4a218eae885bee777be33",
+        "98039fda562b34175051fa8310aa2e382afd1e1a279deda20317a448b9502be2",
     ),
     "scan-13-odd-detection.csv": (
         ["scan", "--grid-step", "13", "--detection", "0.3333,0.9999,0.123456789,1"],
@@ -78,7 +81,7 @@ SIMULATE_DIGESTS = {
     "simulate-sign-plane.json": (
         ["simulate", "--format", "json", "--model", "sign", "--angles", "10,100,55,145",
          "--trials", "300000"],
-        "6a9f23fc043f253d552ef859ded0001ac4f6f262f86b7892b035c79a3a48829e",
+        "3cb451fa429f2987d21804eb6cc2b419db20fa66da298517598f13db39101886",
     ),
     "simulate-out-of-plane.json": (
         ["simulate", "--format", "json", "--angles", "0,0,1;1,0,0;0.6,0.8,0;0,0.6,0.8",
@@ -153,3 +156,6 @@ if __name__ == "__main__":
     for name, argv in GOLDEN_COMMANDS.items():
         (GOLDEN_DIR / name).write_bytes(run_main(argv))
         print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
+    for name, (argv, frozen) in {**GOLDEN_DIGESTS, **SIMULATE_DIGESTS}.items():
+        digest = hashlib.sha256(run_main(argv)).hexdigest()
+        print(f"{name} {digest} ({'frozen' if digest == frozen else 'differs'})", file=sys.stderr)

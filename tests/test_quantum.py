@@ -15,9 +15,10 @@ from belltally import (
     observables_commute,
     quantum_expectation_product,
     singlet_state,
+    spin_label,
     spin_observable,
 )
-from belltally.quantum import DensityState, ProjectiveObservable
+from belltally.quantum import DensityState, ProjectiveObservable, plane_components
 
 from conftest import random_density_state, random_direction
 
@@ -53,8 +54,32 @@ class TestDirection:
             Direction.normalized(0.0, 0.0, 0.0)
 
     def test_in_plane_angles(self):
-        assert Direction.in_plane(0.0).dot(Z_AXIS) == pytest.approx(1.0)
-        assert Direction.in_plane(math.pi / 2.0).dot(X_AXIS) == pytest.approx(1.0)
+        assert Direction.from_plane_degrees(0.0) == Z_AXIS
+        assert Direction.from_plane_degrees(90.0) == X_AXIS
+
+    @pytest.mark.parametrize("k", range(-8, 17))
+    def test_octant_angles_are_exact(self, k):
+        """Multiples of 45 degrees give components 0, +-1 or sqrt(0.5)
+        exactly, never -0.0, so spin labels never print -0.000000."""
+        d = Direction.from_plane_degrees(k * 45)
+        exact = {0.0, 1.0, -1.0, math.sqrt(0.5), -math.sqrt(0.5)}
+        assert {d.x, d.y, d.z} <= exact
+        assert not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (d.x, d.y, d.z))
+        assert "-0.000000" not in spin_label(d, 1) + spin_label(d, 2)
+
+    def test_plane_components_match_sine_and_cosine(self):
+        """Away from the octants the components are sin and cos of the angle,
+        up to the rounding of the reference's radians, beyond one turn too."""
+        angles = np.arange(-725.0, 725.0, 0.37)
+        got = plane_components(angles)
+        radians = np.radians(np.fmod(angles, 360.0))
+        np.testing.assert_allclose(got[:, 0], np.sin(radians), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got[:, 1], np.cos(radians), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_plane_angle_must_be_finite(self, angle):
+        with pytest.raises(InputValidationError, match="finite"):
+            Direction.from_plane_degrees(angle)
 
     def test_plane_angle_roundtrip(self):
         for deg in (0.0, 45.0, 135.0, 271.5):
