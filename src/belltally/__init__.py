@@ -56,7 +56,6 @@ from .quantum import (
     DensityState,
     Direction,
     ProjectiveObservable,
-    acting_subsystem,
     born_joint_probability,
     born_probability,
     observables_commute,

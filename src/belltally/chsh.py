@@ -15,8 +15,9 @@ shows no all-trials violation at a setting exactly when
     p <= min(1, sqrt(2 / S)),
 
 which for the singlet has its minimum 2**(-1/4) at the maximally violating
-angles.  Every correlation is E(a, b) = a . T b, with T the state's
-correlation tensor, and every bound comes from the standard functional.
+angles.  Every correlation is E(a, b) = a . T b, with T the correlation
+tensor of the state's cached Fano form (DensityState.fano), and every bound
+comes from the standard functional.
 
 The standard functional is the weighted one at unit weights on clipped
 correlations.  Multiplying by 1.0 is exact, so one routine, _combination,
@@ -42,9 +43,6 @@ from .detection import DetectionModel
 from .errors import ConfigurationError, InputValidationError
 from .quantum import (
     ALGEBRA_TOL,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     DensityState,
     Direction,
     plane_components,
@@ -147,7 +145,7 @@ def conditional_expectations(
     """The four registered-trials correlations (ab, ab', a'b, a'b')."""
     left = np.array([setting.a.as_array(), setting.a_prime.as_array()])
     right = np.array([setting.b.as_array(), setting.b_prime.as_array()])
-    (e1, e2), (e3, e4) = _correlations(_correlation_tensor(state), left, right).tolist()
+    (e1, e2), (e3, e4) = _correlations(state.fano[1:, 1:], left, right).tolist()
     return e1, e2, e3, e4
 
 
@@ -247,17 +245,9 @@ def _grid_max(
     return (i, i_prime, j, k), float(best)
 
 
-def _correlation_tensor(state: DensityState) -> np.ndarray:
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    tensor = np.empty((3, 3))
-    for i, left in enumerate(paulis):
-        for j, right in enumerate(paulis):
-            tensor[i, j] = float(np.trace(state.matrix @ np.kron(left, right)).real)
-    return tensor
-
-
 def _plane_block(state: DensityState) -> np.ndarray:
-    return _correlation_tensor(state)[np.ix_((0, 2), (0, 2))]
+    # The x-z block of the correlation tensor.
+    return state.fano[np.ix_((1, 3), (1, 3))]
 
 
 def _correlations(tensor: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -385,12 +375,16 @@ def angle_scan(
 ) -> Iterator[ChshReport]:
     """Stream reports for every coplanar angle quadruple on the grid.
 
-    grid_step is in radians, in (0, pi/2].  Rows are ordered
-    lexicographically in (a, a', b, b').  Detection probabilities resolve
-    per direction with role-alias and default fallback; an unresolvable
-    entry raises a ConfigurationError naming the role.
+    grid_step is in radians, in (0, pi/2].  Its value in degrees is
+    rounded to 12 significant digits, since math.degrees(math.radians(30.0))
+    is 29.999999999999996: math.radians(30.0) then gives the grid of the
+    CLI's --grid-step 30.  Rows are ordered lexicographically in
+    (a, a', b, b').  Detection probabilities resolve per direction with
+    role-alias and default fallback; an unresolvable entry raises a
+    ConfigurationError naming the role.
     """
-    directions, (pa, pap, pb, pbp), corr, slabs = _scan_grid(state, det, math.degrees(grid_step))
+    step_deg = float(f"{math.degrees(grid_step):.12g}")
+    directions, (pa, pap, pb, pbp), corr, slabs = _scan_grid(state, det, step_deg)
     e = corr.tolist()
     grid = range(len(directions))
     for ia, aps, *columns in slabs:

@@ -15,26 +15,23 @@ DetectionModel is a lookup table keyed by (state label, observable label)
 with an optional shared default, scaled by a global apparatus factor.
 
 The sequential two-measurement distribution takes the factored form, valid
-for observables on different subsystems: the second detection probability
-is taken as insensitive to the first outcome, and the pre-measurement state
-serves both margins.
+for spin observables on different subsystems: the second detection
+probability is taken as insensitive to the first outcome, and the
+pre-measurement state serves both margins.  Its conditional factors come
+from the state's Fano form (DensityState.fano) and the directions that
+spin_observable records; an observable without them is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Mapping
 
+import numpy as np
+
 from .errors import ConfigurationError, InputValidationError
-from .quantum import (
-    ALGEBRA_TOL,
-    DensityState,
-    ProjectiveObservable,
-    acting_subsystem,
-    born_joint_probability,
-    born_probability,
-    quantum_expectation_product,
-)
+from .quantum import ALGEBRA_TOL, DensityState, Direction, ProjectiveObservable
 
 OutcomePair = tuple[float, float]
 
@@ -147,24 +144,9 @@ class OutcomeDistribution:
         return dict(self.entries)
 
 
-def _far_apart_detection(
-    state: DensityState,
-    obs_a: GeneralizedObservable,
-    obs_b: GeneralizedObservable,
-    det: DetectionModel,
-) -> tuple[float, float]:
-    """Detection probabilities of obs_a as role a and obs_b as role b, on distinct subsystems."""
-    side_a = acting_subsystem(obs_a.base)
-    side_b = acting_subsystem(obs_b.base)
-    if side_a is None or side_b is None or side_a == side_b:
-        raise InputValidationError(
-            "the factored form requires observables on distinct subsystems; "
-            f"got {obs_a.label!r} on {side_a} and {obs_b.label!r} on {side_b}"
-        )
-    return (
-        det.probability(state.label, obs_a.label, role="a"),
-        det.probability(state.label, obs_b.label, role="b"),
-    )
+def _spin_rows(obs: GeneralizedObservable, direction: Direction) -> np.ndarray:
+    # (1, s d) for each outcome s of obs, a spin observable along d.
+    return np.insert(np.outer(obs.outcomes, direction.as_array()), 0, 1.0, axis=1)
 
 
 def sequential_distribution_factored(
@@ -173,7 +155,7 @@ def sequential_distribution_factored(
     obs_b: GeneralizedObservable,
     det: DetectionModel,
 ) -> OutcomeDistribution:
-    """Joint distribution for far-apart measurements on different subsystems.
+    """Joint distribution for far-apart spin measurements on different subsystems.
 
     Both detection probabilities are resolved against the pre-measurement
     state and applied independently:
@@ -182,22 +164,37 @@ def sequential_distribution_factored(
         P(a_n, b_0) = p_A (1 - p_B) P(a_n)
         P(a_0, b_p) = (1 - p_A) p_B P(b_p)
         P(a_0, b_0) = (1 - p_A)(1 - p_B)
+
+    For spin directions a, b and outcomes s, t the conditional factors come
+    from the state's Fano form (r_A, r_B, T): with obs_a on subsystem 1,
+    P(s, t | both registered) = (1 + s a.r_A + t b.r_B + st a.T b) / 4,
+    P(s) = (1 + s a.r_A) / 2 and P(t) = (1 + t b.r_B) / 2, and with obs_a on
+    subsystem 2 the roles of r_A and r_B swap and T is transposed.
+    Observables that spin_observable did not make, or two on one subsystem,
+    raise InputValidationError.
     """
-    detect_a, detect_b = _far_apart_detection(state, obs_a, obs_b, det)
+    spin_a, spin_b = obs_a.base.spin, obs_b.base.spin
+    if spin_a is None or spin_b is None or spin_a[1] == spin_b[1]:
+        raise InputValidationError(
+            "the factored form requires spin observables on distinct subsystems; "
+            f"got {obs_a.label!r} and {obs_b.label!r}"
+        )
+    detect_a = det.probability(state.label, obs_a.label, role="a")
+    detect_b = det.probability(state.label, obs_b.label, role="b")
+    # Rows of the Fano form index obs_a's subsystem, columns obs_b's.
+    fano = state.fano if spin_a[1] == 1 else state.fano.T
+    rows_a, rows_b = _spin_rows(obs_a, spin_a[0]), _spin_rows(obs_b, spin_b[0])
+    joint = np.clip(rows_a @ fano @ rows_b.T / 4.0, 0.0, 1.0).ravel().tolist()
+    margin_a = np.clip(rows_a @ fano[:, 0] / 2.0, 0.0, 1.0).tolist()
+    margin_b = np.clip(fano[0] @ rows_b.T / 2.0, 0.0, 1.0).tolist()
     a_none = float(obs_a.no_registration_outcome)
     b_none = float(obs_b.no_registration_outcome)
-    entries: list[tuple[OutcomePair, float]] = []
-    for a_value in obs_a.outcomes:
-        for b_value in obs_b.outcomes:
-            joint = born_joint_probability(state, obs_a.base, a_value, obs_b.base, b_value)
-            entries.append(((a_value, b_value), detect_a * detect_b * joint))
-    for a_value in obs_a.outcomes:
-        margin = born_probability(state, obs_a.base, a_value)
-        entries.append(((a_value, b_none), detect_a * (1.0 - detect_b) * margin))
-    for b_value in obs_b.outcomes:
-        margin = born_probability(state, obs_b.base, b_value)
-        entries.append(((a_none, b_value), (1.0 - detect_a) * detect_b * margin))
-    entries.append(((a_none, b_none), (1.0 - detect_a) * (1.0 - detect_b)))
+    pairs = product(obs_a.outcomes, obs_b.outcomes)
+    miss_a, miss_b = 1.0 - detect_a, 1.0 - detect_b
+    entries = [(pair, detect_a * (detect_b * p)) for pair, p in zip(pairs, joint)]
+    entries += [((a, b_none), detect_a * (miss_b * p)) for a, p in zip(obs_a.outcomes, margin_a)]
+    entries += [((a_none, b), miss_a * (detect_b * p)) for b, p in zip(obs_b.outcomes, margin_b)]
+    entries.append(((a_none, b_none), miss_a * miss_b))
     return OutcomeDistribution(tuple(entries))
 
 
@@ -207,13 +204,11 @@ def generalized_correlation(
     obs_b: GeneralizedObservable,
     det: DetectionModel,
 ) -> float:
-    """All-trials product expectation under the factored far-apart form.
+    """All-trials product expectation: the product mean of
+    sequential_distribution_factored.
 
     With zero-valued no-registration outcomes this is the detection-scaled
     quantum correlation p_A p_B <AB>; otherwise the no-registration terms
-    contribute, and it is the product mean of sequential_distribution_factored.
+    contribute.
     """
-    detect_a, detect_b = _far_apart_detection(state, obs_a, obs_b, det)
-    if float(obs_a.no_registration_outcome) == 0.0 == float(obs_b.no_registration_outcome):
-        return detect_a * detect_b * quantum_expectation_product(state, obs_a.base, obs_b.base)
     return sequential_distribution_factored(state, obs_a, obs_b, det).product_mean()

@@ -1,4 +1,4 @@
-"""Two-qubit states, spin observables and Born probabilities.
+"""Two-qubit states, spin observables, their Fano form and Born probabilities.
 
 Conventions
 -----------
@@ -9,8 +9,15 @@ Conventions
   ((I - sigma.a)/2) (x) I with outcomes +1 and -1.
 * States are density operators: Hermitian, unit trace, positive semidefinite
   up to a small numerical floor.
-* Joint probabilities follow the Born rule Tr[rho P1 P2] and are only defined
-  for commuting projector families.
+* Every number the package reports depends on a state only through its
+  Fano form F[i, j] = Tr[rho sigma_i (x) sigma_j], with sigma_0 = I
+  (Fano, Rev. Mod. Phys. 55, 855 (1983)): the Bloch vectors r_A = F[1:, 0]
+  and r_B = F[0, 1:] and the correlation tensor T = F[1:, 1:].  It is
+  computed once per state and cached as DensityState.fano.
+* born_probability, born_joint_probability and quantum_expectation_product
+  follow the Born rule Tr[rho P1 P2] over projectors, defined only for
+  commuting projector families.  No command uses them: they are the
+  projector route that the Fano form is tested against.
 
 Algebraic identities are enforced at tolerance 1e-12; the positive
 semidefiniteness floor is -1e-10 on the smallest eigenvalue.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,15 +144,33 @@ class DensityState:
             )
         object.__setattr__(self, "matrix", _frozen_copy(mat))
 
+    @cached_property
+    def fano(self) -> np.ndarray:
+        """The read-only 4x4 Fano form F[i, j] = Tr[rho sigma_i (x) sigma_j]:
+        the trace at [0, 0], r_A = F[1:, 0], r_B = F[0, 1:], T = F[1:, 1:].
+
+        Spin projectors along a on subsystem 1 and b on subsystem 2 give
+        Tr[rho P_s (x) Q_t] = u^T F v / 4 with u = (1, s a), v = (1, t b).
+        """
+        paulis = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+        fano = np.empty((4, 4))
+        for i, left in enumerate(paulis):
+            for j, right in enumerate(paulis):
+                fano[i, j] = float(np.trace(self.matrix @ np.kron(left, right)).real)
+        fano.setflags(write=False)
+        return fano
+
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveObservable:
     """Observable given by real outcomes and an orthogonal, complete family of
-    projectors on the two-qubit space."""
+    projectors on the two-qubit space.  spin is the (direction, subsystem)
+    of a spin observable, set by spin_observable and None otherwise."""
 
     outcomes: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
     label: str
+    spin: tuple[Direction, int] | None = None
 
     def __post_init__(self) -> None:
         outcomes = tuple(float(v) for v in self.outcomes)
@@ -205,7 +231,8 @@ def spin_observable(direction: Direction, subsystem: int) -> ProjectiveObservabl
         projectors = (np.kron(plus, IDENTITY_2), np.kron(minus, IDENTITY_2))
     else:
         projectors = (np.kron(IDENTITY_2, plus), np.kron(IDENTITY_2, minus))
-    return ProjectiveObservable((1.0, -1.0), projectors, spin_label(direction, subsystem))
+    label = spin_label(direction, subsystem)
+    return ProjectiveObservable((1.0, -1.0), projectors, label, (direction, subsystem))
 
 
 def observables_commute(
@@ -261,26 +288,3 @@ def quantum_expectation_product(
         for b_value, b_proj in zip(obs2.outcomes, obs2.projectors):
             total += a_value * b_value * float(np.trace(state.matrix @ a_proj @ b_proj).real)
     return total
-
-
-def acting_subsystem(observable: ProjectiveObservable) -> int | None:
-    """Which tensor factor an observable acts on: 1, 2, or None if neither.
-
-    Returns 1 when every projector has the form Q (x) I, 2 for I (x) Q,
-    None for genuinely bipartite projector families.
-    """
-    on_first = True
-    on_second = True
-    for proj in observable.projectors:
-        tensor = proj.reshape(2, 2, 2, 2)  # [i, k, j, l]: row (i,k), column (j,l)
-        left = np.einsum("ikjk->ij", tensor) / 2.0
-        right = np.einsum("ikil->kl", tensor) / 2.0
-        if np.max(np.abs(proj - np.kron(left, np.eye(2)))) > ALGEBRA_TOL:
-            on_first = False
-        if np.max(np.abs(proj - np.kron(np.eye(2), right))) > ALGEBRA_TOL:
-            on_second = False
-    if on_first and not on_second:
-        return 1
-    if on_second and not on_first:
-        return 2
-    return None

@@ -5,6 +5,7 @@ here are a literal four-way maximum over a coarse angle grid built from
 independently computed correlations, and a row-by-row reference reduction
 that the array kernel must match exactly, indices included.
 """
+import json
 import math
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from belltally import (
     quantum_expectation_product,
 )
 from belltally import chsh
+from belltally.cli import main
 from belltally.chsh import (
     _correlations,
     _grid_angles_deg,
@@ -160,9 +162,6 @@ class TestStandardLhs:
         to 2 sqrt(2)."""
         values = conditional_expectations(singlet_state(), ChshSetting.tsirelson())
         assert standard_chsh_lhs(*values) == TSIRELSON
-
-    def test_singlet_tensor_is_exactly_minus_identity(self):
-        assert np.array_equal(chsh._correlation_tensor(singlet_state()), -np.eye(3))
 
     def test_all_directions_equal(self):
         d = Direction.from_plane_degrees(30.0)
@@ -490,6 +489,19 @@ class TestGridMax:
             _, value = modified_lhs_grid_max(state, 1.0, 5.0)
             assert 0.0 <= ceiling - value <= 1e-3
 
+    def test_one_degree_grid_reaches_the_plane_ceiling(self):
+        """The coplanar maximum 2 sqrt(t1**2 + t2**2), t1 and t2 the singular
+        values of the Fano form's x-z block (Horodecki, Phys. Lett. A 200,
+        340 (1995)), is reached on the 1-degree grid to 1e-5 and never
+        exceeded."""
+        rng = np.random.default_rng(109)
+        for _ in range(3):
+            state = random_density_state(rng)
+            block = state.fano[np.ix_((1, 3), (1, 3))]
+            ceiling = 2.0 * math.sqrt(float((np.linalg.svd(block, compute_uv=False) ** 2).sum()))
+            _, value = modified_lhs_grid_max(state, 1.0, 1.0)
+            assert ceiling * (1.0 - 1e-5) <= value <= ceiling + 1e-12
+
     def test_singlet_fine_grid_reaches_tsirelson(self):
         _, value = modified_lhs_grid_max(singlet_state(), 1.0, 5.0)
         assert value == pytest.approx(TSIRELSON, abs=1e-12)
@@ -596,6 +608,21 @@ class TestAngleScan:
             assert standard.tobytes() == np.array(expected).tobytes()
             rows += standard.size
         assert rows == len(grid) ** 4
+
+    def test_radian_step_lays_the_cli_grid(self, capsys):
+        """math.radians(30.0) gives the grid of the CLI's --grid-step 30:
+        exact directions, and every row equal to the CLI's JSON row."""
+        reports = list(angle_scan(singlet_state(), DetectionModel.uniform(1.0), math.radians(30.0)))
+        assert reports[3 * 12**3].setting.a == Direction(1.0, 0.0, 0.0)
+        assert main(["scan", "--grid-step", "30", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == len(reports) == 12**4
+        for report, row in zip(reports, rows):
+            angles = report.setting.plane_angles_deg()
+            assert list(row.values()) == [
+                *angles, *report.detection_probs, report.standard_lhs, report.modified_lhs,
+                report.bound, report.standard_violated, report.modified_violated,
+            ]
 
     def test_unresolvable_detection_raises(self):
         with pytest.raises(ConfigurationError, match="role"):

@@ -149,6 +149,17 @@ class TestBound:
         assert payload["bound"] == detection_bound(ChshSetting.tsirelson(), werner)
         assert payload["grid_min_bound"] == min_detection_bound(1.0, werner)
 
+    def test_one_run_takes_the_fano_traces_once(self, capsys, tmp_path, monkeypatch):
+        """The setting's bound and the grid minimum share the config state's
+        cached Fano form: one bound run builds its 16 Pauli products once."""
+        cfg = tmp_path / "werner.json"
+        cfg.write_text(json.dumps({"state": werner_state(0.8).matrix.real.tolist()}))
+        calls, kron = [], np.kron
+        monkeypatch.setattr(np, "kron", lambda *args: calls.append(args) or kron(*args))
+        code, _, err = run_cli(capsys, "bound", "--config", str(cfg))
+        assert code == 0 and err == ""
+        assert len(calls) == 16
+
 
 class TestScan:
     def test_bound_column_belongs_to_the_config_state(self, capsys, tmp_path):

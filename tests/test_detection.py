@@ -16,6 +16,7 @@ from belltally import (
     GeneralizedObservable,
     InputValidationError,
     OutcomeDistribution,
+    ProjectiveObservable,
     X_AXIS,
     Z_AXIS,
     born_joint_probability,
@@ -130,6 +131,33 @@ class TestSequentialFactored:
                 det,
             )
 
+    def test_fano_tables_match_the_born_route(self):
+        """With detection 1 or 0 per side the table holds the Fano form's
+        conditional probabilities unscaled; they equal the projector route's
+        Born probabilities to 1e-15, also with obs_a on subsystem 2."""
+        rng = np.random.default_rng(83)
+        for trial in range(50):
+            state = random_density_state(rng)
+            side_a = 1 + trial % 2
+            base_a = spin_observable(random_direction(rng), side_a)
+            base_b = spin_observable(random_direction(rng), 3 - side_a)
+            obs_a, obs_b = GeneralizedObservable(base_a), GeneralizedObservable(base_b)
+
+            def table(pa, pb):
+                det = DetectionModel(entries={(state.label, "a"): pa, (state.label, "b"): pb})
+                return sequential_distribution_factored(state, obs_a, obs_b, det)
+
+            both, only_a, only_b = table(1.0, 1.0), table(1.0, 0.0), table(0.0, 1.0)
+            for va in obs_a.outcomes:
+                expected = born_probability(state, base_a, va)
+                assert abs(only_a.probability((va, 0.0)) - expected) <= 1e-15
+                for vb in obs_b.outcomes:
+                    expected = born_joint_probability(state, base_a, va, base_b, vb)
+                    assert abs(both.probability((va, vb)) - expected) <= 1e-15
+            for vb in obs_b.outcomes:
+                expected = born_probability(state, base_b, vb)
+                assert abs(only_b.probability((0.0, vb)) - expected) <= 1e-15
+
     def test_marginals_scale_with_own_detection_only(self):
         rng = np.random.default_rng(71)
         for _ in range(10):
@@ -202,3 +230,18 @@ class TestGeneralizedCorrelation:
                 GeneralizedObservable(spin_observable(X_AXIS, 1)),
                 DetectionModel.uniform(1.0),
             )
+
+
+def test_non_spin_observables_are_refused():
+    """The factored form reads the direction that spin_observable records;
+    a projector family without one, here the singlet filter, is refused."""
+    rho = singlet_state().matrix
+    singlet_filter = ProjectiveObservable((1.0, -1.0), (rho, np.eye(4) - rho), "singlet-filter")
+    pairs = [
+        (GeneralizedObservable(singlet_filter), GeneralizedObservable(spin_observable(X_AXIS, 2))),
+        (spin_z1(), GeneralizedObservable(singlet_filter)),
+    ]
+    for obs_a, obs_b in pairs:
+        for function in (sequential_distribution_factored, generalized_correlation):
+            with pytest.raises(InputValidationError, match="singlet-filter"):
+                function(singlet_state(), obs_a, obs_b, DetectionModel.uniform(1.0))

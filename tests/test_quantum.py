@@ -9,7 +9,6 @@ from belltally import (
     InputValidationError,
     X_AXIS,
     Z_AXIS,
-    acting_subsystem,
     born_joint_probability,
     born_probability,
     observables_commute,
@@ -116,8 +115,38 @@ class TestSingletState:
             uu = np.kron(u, u)
             np.testing.assert_allclose(uu @ rho @ uu.conj().T, rho, atol=1e-12)
 
+    def test_fano_form_is_exactly_zero_zero_minus_identity(self):
+        """Unit trace, r_A = r_B = 0 and T = -I, every entry exact."""
+        assert singlet_state().fano.tolist() == [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, -1.0, 0.0, 0.0],
+            [0.0, 0.0, -1.0, 0.0],
+            [0.0, 0.0, 0.0, -1.0],
+        ]
+
+
+class TestFanoForm:
+    def test_entries_are_pauli_traces(self):
+        """Oracle: Tr[rho s_i (x) s_j] from the test's own Pauli matrices."""
+        state = random_density_state(np.random.default_rng(17))
+        paulis = [np.eye(2), _PAULI["x"], _PAULI["y"], _PAULI["z"]]
+        expected = [[np.trace(state.matrix @ np.kron(p, q)).real for q in paulis] for p in paulis]
+        np.testing.assert_allclose(state.fano, expected, rtol=0.0, atol=1e-15)
+
+    def test_cached_and_read_only(self):
+        state = singlet_state()
+        assert state.fano is state.fano
+        with pytest.raises(ValueError):
+            state.fano[1, 1] = 0.0
+
 
 class TestSpinObservable:
+    def test_records_direction_and_subsystem(self):
+        d = random_direction(np.random.default_rng(43))
+        assert spin_observable(d, 2).spin == (d, 2)
+        rho = singlet_state().matrix
+        assert ProjectiveObservable((1.0, 0.0), (rho, np.eye(4) - rho), "filter").spin is None
+
     def test_z_on_first_subsystem(self):
         obs = spin_observable(Z_AXIS, 1)
         assert obs.outcomes == (1.0, -1.0)
@@ -295,18 +324,7 @@ class TestQuantumExpectationProduct:
             )
 
 
-class TestActingSubsystem:
-    def test_spin_observables(self):
-        rng = np.random.default_rng(43)
-        d = random_direction(rng)
-        assert acting_subsystem(spin_observable(d, 1)) == 1
-        assert acting_subsystem(spin_observable(d, 2)) == 2
-
-    def test_entangled_projector_family_is_neither(self):
-        rho = singlet_state().matrix
-        obs = ProjectiveObservable((1.0, 0.0), (rho, np.eye(4) - rho), "singlet-filter")
-        assert acting_subsystem(obs) is None
-
+class TestObservablesCommute:
     def test_commutation_checks(self):
         assert observables_commute(spin_observable(Z_AXIS, 1), spin_observable(X_AXIS, 2))
         assert not observables_commute(spin_observable(Z_AXIS, 1), spin_observable(X_AXIS, 1))
