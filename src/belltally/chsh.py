@@ -35,11 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .detection import DetectionModel
 from .errors import ConfigurationError, InputValidationError
 from .quantum import (
     ALGEBRA_TOL,
@@ -49,6 +48,9 @@ from .quantum import (
     singlet_state,
     spin_label,
 )
+
+if TYPE_CHECKING:
+    from .detection import DetectionModel
 
 # Margin above the algebraic limit 2 before a value counts as a violation.
 VIOLATION_TOL = 1e-12

@@ -38,22 +38,32 @@ from .chsh import (
 from .detection import DetectionModel, GeneralizedObservable, sequential_distribution_factored
 from .detection import generalized_correlation
 from .errors import BelltallyError, ConfigurationError, InputValidationError
-from .lhv import (
-    PAIR_NAMES,
-    constant_model,
-    gisin_gisin_model,
-    sign_model,
-    simulate_chsh,
-)
 from .quantum import DensityState, Direction, singlet_state, spin_observable
 
 SCHEMA_VERSION = 1
 
+
+# Only simulate loads the Monte Carlo module lhv: each MODELS value is a
+# zero-argument factory that imports it, and simulate_chsh delegates to it.
+# Both stay names of this module, which perfbench/tracer.py wraps.
+def _lhv_model(factory: str) -> Any:
+    from . import lhv
+
+    return getattr(lhv, factory)()
+
+
 MODELS = {
-    "gisin-gisin": gisin_gisin_model,
-    "sign": sign_model,
-    "constant": constant_model,
+    "gisin-gisin": functools.partial(_lhv_model, "gisin_gisin_model"),
+    "sign": functools.partial(_lhv_model, "sign_model"),
+    "constant": functools.partial(_lhv_model, "constant_model"),
 }
+
+
+def simulate_chsh(*args: Any, **kwargs: Any) -> Any:
+    """lhv.simulate_chsh, imported on first call."""
+    from .lhv import simulate_chsh
+
+    return simulate_chsh(*args, **kwargs)
 
 SCAN_COLUMNS = [
     "a_deg",
@@ -327,8 +337,8 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     return leads.view(np.uint32)[:, 0], digits.view(np.uint32)[:, 0]
 
 
-def _scan_csv(scan: tuple) -> Iterator[str]:
-    """The rows of a _scan_grid scan as CSV text, one chunk per slab.
+def _scan_csv(scan: tuple) -> Iterator[bytes]:
+    """The rows of a _scan_grid scan as ASCII CSV bytes, one chunk per slab.
 
     A slab of k (a, a') blocks is one record per row of left-aligned,
     NUL-padded byte fields: the a and a' cells, a (b, b') table tiled k
@@ -365,7 +375,7 @@ def _scan_csv(scan: tuple) -> Iterator[str]:
         for name, values in zip(names[8:11], (standard, modified, bound)):
             slab[name] = _fixed6(values.reshape(-1)).view("S8")[:, 0]
         slab["flags"] = flags[(2 * standard_violated + modified_violated).ravel()]
-        yield slab.tobytes().replace(b"\0", b"").decode("ascii")
+        yield slab.tobytes().replace(b"\0", b"")
 
 
 def _scan_text(scan: tuple) -> Iterator[str]:
@@ -421,7 +431,12 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
         sys.stdout.write("\n  ]\n}\n")
         return 0
     sys.stdout.write(",".join(SCAN_COLUMNS) + "\n")
-    sys.stdout.writelines(_scan_csv(scan))
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in _scan_csv(scan))
+        return 0
+    sys.stdout.flush()
+    out.writelines(_scan_csv(scan))
     return 0
 
 
@@ -433,6 +448,8 @@ def _binomial_errors(freqs: Sequence[float], counts: Sequence[int]) -> list[floa
 
 
 def _simulate_metrics(sim, n_trials: int) -> list[tuple[str, str, float, float]]:
+    from .lhv import PAIR_NAMES
+
     trials = [n_trials] * len(PAIR_NAMES)
     both = [sim.summary.both_detected_count(i) for i in range(len(PAIR_NAMES))]
     freqs_a, freqs_b = sim.detection_frequencies_a, sim.detection_frequencies_b
