@@ -43,27 +43,23 @@ from .quantum import DensityState, Direction, singlet_state, spin_observable
 SCHEMA_VERSION = 1
 
 
-# Only simulate loads the Monte Carlo module lhv: each MODELS value is a
-# zero-argument factory that imports it, and simulate_chsh delegates to it.
-# Both stay names of this module, which perfbench/tracer.py wraps.
-def _lhv_model(factory: str) -> Any:
+def _lhv() -> Any:
     from . import lhv
 
-    return getattr(lhv, factory)()
+    return lhv
 
 
+# Names of this module, not lhv's, since the benchmark's tracer wraps them.
 MODELS = {
-    "gisin-gisin": functools.partial(_lhv_model, "gisin_gisin_model"),
-    "sign": functools.partial(_lhv_model, "sign_model"),
-    "constant": functools.partial(_lhv_model, "constant_model"),
+    "gisin-gisin": lambda: _lhv().gisin_gisin_model(),
+    "sign": lambda: _lhv().sign_model(),
+    "constant": lambda: _lhv().constant_model(),
 }
 
 
 def simulate_chsh(*args: Any, **kwargs: Any) -> Any:
-    """lhv.simulate_chsh, imported on first call."""
-    from .lhv import simulate_chsh
+    return _lhv().simulate_chsh(*args, **kwargs)
 
-    return simulate_chsh(*args, **kwargs)
 
 SCAN_COLUMNS = [
     "a_deg",
@@ -337,8 +333,8 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     return leads.view(np.uint32)[:, 0], digits.view(np.uint32)[:, 0]
 
 
-def _scan_csv(scan: tuple) -> Iterator[bytes]:
-    """The rows of a _scan_grid scan as ASCII CSV bytes, one chunk per slab.
+def _scan_csv(scan: tuple) -> Iterator[str]:
+    """The rows of a _scan_grid scan as CSV text, one chunk per slab.
 
     A slab of k (a, a') blocks is one record per row of left-aligned,
     NUL-padded byte fields: the a and a' cells, a (b, b') table tiled k
@@ -375,7 +371,7 @@ def _scan_csv(scan: tuple) -> Iterator[bytes]:
         for name, values in zip(names[8:11], (standard, modified, bound)):
             slab[name] = _fixed6(values.reshape(-1)).view("S8")[:, 0]
         slab["flags"] = flags[(2 * standard_violated + modified_violated).ravel()]
-        yield slab.tobytes().replace(b"\0", b"")
+        yield slab.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _scan_text(scan: tuple) -> Iterator[str]:
@@ -431,12 +427,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
         sys.stdout.write("\n  ]\n}\n")
         return 0
     sys.stdout.write(",".join(SCAN_COLUMNS) + "\n")
-    out = getattr(sys.stdout, "buffer", None)
-    if out is None:  # a text-only stream
-        sys.stdout.writelines(chunk.decode("ascii") for chunk in _scan_csv(scan))
-        return 0
-    sys.stdout.flush()
-    out.writelines(_scan_csv(scan))
+    sys.stdout.writelines(_scan_csv(scan))
     return 0
 
 
@@ -448,10 +439,9 @@ def _binomial_errors(freqs: Sequence[float], counts: Sequence[int]) -> list[floa
 
 
 def _simulate_metrics(sim, n_trials: int) -> list[tuple[str, str, float, float]]:
-    from .lhv import PAIR_NAMES
-
-    trials = [n_trials] * len(PAIR_NAMES)
-    both = [sim.summary.both_detected_count(i) for i in range(len(PAIR_NAMES))]
+    pairs = _lhv().PAIR_NAMES
+    trials = [n_trials] * len(pairs)
+    both = [sim.summary.both_detected_count(i) for i in range(len(pairs))]
     freqs_a, freqs_b = sim.detection_frequencies_a, sim.detection_frequencies_b
     all_freqs, det_freqs = sim.all_sample_pair_frequencies, sim.detected_pair_frequencies
     divergence_errors = map(
@@ -473,7 +463,7 @@ def _simulate_metrics(sim, n_trials: int) -> list[tuple[str, str, float, float]]
     rows = [
         (name, pair, value, error)
         for name, values, errors in per_pair
-        for pair, value, error in zip(PAIR_NAMES, values, errors)
+        for pair, value, error in zip(pairs, values, errors)
     ]
     return rows + [
         ("micro_chsh", "", sim.micro_chsh, sim.micro_chsh_error),

@@ -293,7 +293,7 @@ class TestScan:
         for angle, subsystem, p in ((45.0, 1, 0.5), (270.0, 1, 0.6), (90.0, 2, 0.7)):
             entries[("singlet", spin_label(Direction.from_plane_degrees(angle), subsystem))] = p
         det = DetectionModel(entries=entries)
-        text = b"".join(_scan_csv(chsh._scan_grid(singlet_state(), det, 45.0))).decode()
+        text = "".join(_scan_csv(chsh._scan_grid(singlet_state(), det, 45.0)))
         expected = []
         for r in angle_scan(singlet_state(), det, math.pi / 4.0):
             cells = [*r.setting.plane_angles_deg(), *r.detection_probs]

@@ -7,8 +7,7 @@ Outputs too large to keep as files are checked against frozen sha256
 digests instead: the 15 and 30 degree scans the benchmark runs, a 13
 degree grid that is not closed under rotation, with odd probabilities
 and angle cells 8 to 10 characters wide, and a 20 degree scan whose
-modified_lhs column is all zero.  The CSV scans also run with a stdout
-that has a byte buffer, which gets their rows as bytes.  Three seeded simulate JSON runs, two
+modified_lhs column is all zero.  Three seeded simulate JSON runs, two
 whose settings lie in the x-z plane and one out of it, are digests too,
 checked at one and at two workers.  Four of the scans are rerun with the
 scan's slab size patched, so that their bytes cannot depend on it.
@@ -92,21 +91,14 @@ SIMULATE_DIGESTS = {
 }
 
 
-def run_main(argv, binary=False):
-    """stdout bytes of a successful main(argv) that wrote nothing to stderr.
-
-    stdout is a text-only io.StringIO, or with binary a text stream over a
-    byte buffer, like a process's, to which a CSV scan writes its rows.
-    """
-    raw = io.BytesIO()
-    out = io.TextIOWrapper(raw, encoding="utf-8") if binary else io.StringIO()
-    err = io.StringIO()
+def run_main(argv):
+    """stdout bytes of a successful main(argv) that wrote nothing to stderr."""
+    out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert code == 0, err.getvalue()
     assert err.getvalue() == ""
-    out.flush()
-    return raw.getvalue() if binary else out.getvalue().encode("utf-8")
+    return out.getvalue().encode("utf-8")
 
 
 def _cases():
@@ -134,21 +126,6 @@ def test_output_matches_golden_digest(name):
 def test_simulate_matches_golden_digest(name, workers):
     argv, digest = SIMULATE_DIGESTS[name]
     assert hashlib.sha256(run_main([*argv, "--workers", workers])).hexdigest() == digest
-
-
-CSV_SCANS = [
-    name for name in (*GOLDEN_COMMANDS, *GOLDEN_DIGESTS)
-    if name.startswith("scan-") and name.endswith(".csv")
-]
-
-
-@pytest.mark.parametrize("name", CSV_SCANS)
-def test_csv_scan_bytes_through_a_binary_stdout(name):
-    if name in GOLDEN_DIGESTS:
-        argv, digest = GOLDEN_DIGESTS[name]
-        assert hashlib.sha256(run_main(argv, binary=True)).hexdigest() == digest
-    else:
-        assert run_main(GOLDEN_COMMANDS[name], binary=True) == (GOLDEN_DIR / name).read_bytes()
 
 
 # Scans rerun with chsh._SLAB_ROWS patched so that each slab holds k = 1,

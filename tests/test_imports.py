@@ -6,7 +6,8 @@ Monte Carlo module lhv.  The import-graph tests run in fresh interpreters
 with the benchmark's child environment: no inherited PYTHON* settings, src
 on the path and no bytecode written.  perfbench/tracer.py wraps names that
 belltally.cli looks up; the last tests check that those names are still
-there and that traced runs record the same spans as before.
+there and that traced runs of the tiny workloads, run by tracer.py into a
+temporary directory, record the same spans as before.
 """
 import collections
 import csv
@@ -192,15 +193,18 @@ class TestTracerContract:
             assert isinstance(factory(), MicrostateModel), name
 
     @pytest.mark.parametrize("workload", list(TRACED_SPANS))
-    def test_traced_run_records_the_same_spans(self, workload):
-        result = subprocess.run(
-            [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "1",
-             "--seconds", "1", "--trace", "1", "--size", "tiny"],
-            cwd=ROOT, capture_output=True, text=True, check=True,
+    def test_traced_run_records_the_same_spans(self, workload, tmp_path):
+        out = tmp_path / "trace.json"
+        subprocess.run(
+            [sys.executable, str(PERFBENCH / "tracer.py"), "--workload", workload, "--seed", "1",
+             "--seconds", "1", "--size", "tiny", "--out", str(out)],
+            env=child_env(), cwd=ROOT, capture_output=True, check=True,
         )
-        assert json.loads(result.stdout.splitlines()[-1])["correct"] is True
+        result = json.loads(out.read_text())
+        assert result["attempted"] > 0
+        assert (result["failed"], result["problems"]) == (0, [])
         passes = collections.defaultdict(collections.Counter)
-        with open(PERFBENCH / "_work" / f"spans-{workload}.tsv", encoding="utf-8") as spans:
+        with open(tmp_path / f"spans-{workload}.tsv", encoding="utf-8") as spans:
             for span in csv.DictReader(spans, delimiter="\t"):
                 index, label = span["run"].split(":", 1)
                 passes[index][(label, span["name"])] += 1
