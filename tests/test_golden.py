@@ -7,9 +7,9 @@ Outputs too large to keep as files are checked against frozen sha256
 digests instead: the 15 and 30 degree scans the benchmark runs, a 13
 degree grid that is not closed under rotation, with odd probabilities
 and angle cells 8 to 10 characters wide, and a 20 degree scan whose
-modified_lhs column is all zero.  Three seeded simulate JSON runs, two
-whose settings lie in the x-z plane and one out of it, are digests too,
-checked at one and at two workers.  Four of the scans are rerun with the
+modified_lhs column is all zero.  Four seeded simulate JSON runs, two
+whose settings lie in the x-z plane, one out of it and one of the constant
+model, are digests too, checked at one and at two workers.  Four of the scans are rerun with the
 scan's slab size patched, so that their bytes cannot depend on it.
 
 The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -72,7 +72,8 @@ GOLDEN_DIGESTS = {
 
 # sha256 of seeded simulate JSON, each checked at one and at two workers.
 # The tsirelson and the plane-angle settings read lam's x and z only; the
-# last setting also reads y.
+# out-of-plane setting also reads y.  The constant model is the degenerate
+# case: every correlation is +1 and every std_error 0.0.
 SIMULATE_DIGESTS = {
     "simulate-gisin-gisin-1e6.json": (
         ["simulate", "--format", "json", "--trials", "1000000"],
@@ -87,6 +88,10 @@ SIMULATE_DIGESTS = {
         ["simulate", "--format", "json", "--angles", "0,0,1;1,0,0;0.6,0.8,0;0,0.6,0.8",
          "--trials", "300000"],
         "a7613c36f3297d98a60291080f45db9315392d769a2be1706118a48fb69695ee",
+    ),
+    "simulate-constant.json": (
+        ["simulate", "--format", "json", "--model", "constant", "--trials", "200000"],
+        "85e584c42c74b008e9a55e506d4e979b4fe74550eb7f74495a1a4382b21ec447",
     ),
 }
 
