@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -280,7 +279,8 @@ def _emit(cfg: ExperimentConfig, payload: dict[str, Any], columns: list[str], ro
 
 
 def cmd_bound(cfg: ExperimentConfig) -> int:
-    """Report the state's equal-detection threshold for a setting and its grid minimum."""
+    """Report the state's equal-detection threshold for a setting and its
+    minimum over the x-z-plane grid, which need not be the state's minimum."""
     state = cfg.resolve_state()
     setting = cfg.resolve_setting()
     step = cfg.grid_step_deg if cfg.grid_step_deg is not None else 1.0
@@ -431,68 +431,21 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _binomial_errors(freqs: Sequence[float], counts: Sequence[int]) -> list[float]:
-    return [
-        math.sqrt(max(0.0, f * (1.0 - f)) / n) if n else float("nan")
-        for f, n in zip(freqs, counts)
-    ]
-
-
-def _simulate_metrics(sim, n_trials: int) -> list[tuple[str, str, float, float]]:
-    pairs = _lhv().PAIR_NAMES
-    trials = [n_trials] * len(pairs)
-    both = [sim.summary.both_detected_count(i) for i in range(len(pairs))]
-    freqs_a, freqs_b = sim.detection_frequencies_a, sim.detection_frequencies_b
-    all_freqs, det_freqs = sim.all_sample_pair_frequencies, sim.detected_pair_frequencies
-    divergence_errors = map(
-        math.hypot, _binomial_errors(all_freqs, trials), _binomial_errors(det_freqs, both)
-    )
-    per_pair = [
-        ("micro_correlation", sim.micro_correlations, sim.micro_correlation_errors),
-        (
-            "conditional_correlation",
-            sim.conditional_correlations,
-            sim.conditional_correlation_errors,
-        ),
-        ("detection_frequency_a", freqs_a, _binomial_errors(freqs_a, trials)),
-        ("detection_frequency_b", freqs_b, _binomial_errors(freqs_b, trials)),
-        ("all_sample_pair_frequency", all_freqs, _binomial_errors(all_freqs, trials)),
-        ("detected_pair_frequency", det_freqs, _binomial_errors(det_freqs, both)),
-        ("fair_sampling_divergence", sim.divergences, divergence_errors),
-    ]
-    rows = [
-        (name, pair, value, error)
-        for name, values, errors in per_pair
-        for pair, value, error in zip(pairs, values, errors)
-    ]
-    return rows + [
-        ("micro_chsh", "", sim.micro_chsh, sim.micro_chsh_error),
-        ("conditional_chsh", "", sim.conditional_chsh, sim.conditional_chsh_error),
-        (
-            "weighted_chsh_predicted",
-            "",
-            sim.weighted_chsh_predicted,
-            sim.weighted_chsh_predicted_error,
-        ),
-    ]
-
-
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Run a local model over the four CHSH pairs and report its statistics."""
     model = MODELS[cfg.model_name]()
     setting = cfg.resolve_setting()
     sim = simulate_chsh(model, setting, cfg.trials, cfg.seed, cfg.workers)
     columns = ["metric", "setting", "value", "std_error"]
-    rows = _simulate_metrics(sim, cfg.trials)
     angles = setting.plane_angles_deg()
     payload = {
         "model": cfg.model_name,
         "trials": cfg.trials,
         "seed": cfg.seed,
         "angles_deg": None if angles is None else list(angles),
-        "metrics": [dict(zip(columns, row)) for row in rows],
+        "metrics": [dict(zip(columns, row)) for row in sim.rows],
     }
-    return _emit(cfg, payload, columns, rows)
+    return _emit(cfg, payload, columns, sim.rows)
 
 
 def cmd_sequential(cfg: ExperimentConfig) -> int:

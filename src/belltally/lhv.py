@@ -35,6 +35,12 @@ each counted per block by one bincount over its sides' joint code.  Each
 pair's 16 (A code, B code) cells are exact integer marginals of that count,
 and the 3x3 registered-outcome and 2x2 possession tallies are sums of them.
 
+Statistics
+----------
+``simulate_chsh`` is the one place where a CHSH run's reported metrics and
+their standard errors are made: the rows of ``ChshSimulation.rows``, which
+the command line prints as they are.
+
 The reference detection-loophole model (``gisin_gisin_model``) registers
 A = sign(a.lam) with probability |a.lam| and always registers
 B = -sign(b.lam).  Its registered-trials statistics reproduce the singlet
@@ -49,7 +55,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -343,8 +349,7 @@ class SimulationSummary:
         return float(registered / self.n_trials)
 
     def detection_frequency_se(self, index: int, side: str) -> float:
-        freq = self.detection_frequency(index, side)
-        return math.sqrt(freq * (1.0 - freq) / self.n_trials)
+        return _binomial_se(self.detection_frequency(index, side), self.n_trials)
 
 
 def _chunk_sizes(n_trials: int) -> Iterator[int]:
@@ -523,17 +528,27 @@ def chsh_pairs(setting: ChshSetting) -> tuple[tuple[Direction, Direction], ...]:
     )
 
 
+def _binomial_se(freq: float, count: int) -> float:
+    """Standard error of a frequency observed over count trials."""
+    return math.sqrt(max(0.0, freq * (1.0 - freq)) / count)
+
+
+def _correlations(summary: SimulationSummary, conditional: bool) -> list[tuple[float, float]]:
+    """Each pair's (correlation, std_error), over registered or all trials."""
+    if conditional:
+        value, error = summary.conditional_correlation, summary.conditional_correlation_se
+    else:
+        value, error = summary.micro_correlation, summary.micro_correlation_se
+    return [(value(i), error(i)) for i in range(len(summary.settings))]
+
+
 def summary_chsh(summary: SimulationSummary, conditional: bool = False) -> tuple[float, float]:
-    """CHSH combination and its standard error from a four-pair summary."""
+    """CHSH combination and its standard error from a four-pair summary; the
+    pair errors add in quadrature, as if the pairs were independent."""
     if len(summary.settings) != 4:
         raise InputValidationError("summary must hold the four CHSH correlation pairs")
-    if conditional:
-        corr = [summary.conditional_correlation(i) for i in range(4)]
-        errors = [summary.conditional_correlation_se(i) for i in range(4)]
-    else:
-        corr = [summary.micro_correlation(i) for i in range(4)]
-        errors = [summary.micro_correlation_se(i) for i in range(4)]
-    return _combination(*corr), math.sqrt(sum(e * e for e in errors))
+    values, errors = zip(*_correlations(summary, conditional))
+    return _combination(*values), math.sqrt(sum(e * e for e in errors))
 
 
 class FairSamplingResult(NamedTuple):
@@ -546,12 +561,15 @@ class FairSamplingResult(NamedTuple):
 
 
 def _fair_sampling(cells: np.ndarray, n_trials: int) -> FairSamplingResult:
-    """Fair-sampling frequencies of one pair's 4x4 code cells; the detected
-    frequency is NaN when no trial registered on both sides."""
+    """Fair-sampling frequencies of one pair's 4x4 code cells."""
     # Codes 1 and 3 possess +1; codes 2 and 3 are detected.
-    all_sample = float(cells[1::2, 1::2].sum() / n_trials)
     both_detected = int(cells[2:, 2:].sum())
-    detected = float(cells[3, 3] / both_detected) if both_detected else math.nan
+    if both_detected == 0:
+        raise ZeroProbabilityError(
+            "detected-pair frequency is undefined: no doubly registered trials"
+        )
+    all_sample = float(cells[1::2, 1::2].sum() / n_trials)
+    detected = float(cells[3, 3] / both_detected)
     return FairSamplingResult(all_sample, detected, abs(all_sample - detected))
 
 
@@ -570,29 +588,17 @@ def fair_sampling_check(
     subensemble misrepresents the full one.
     """
     cells = _run_tallies(model, [((a,), (b,))], n_trials, seed, n_workers)
-    result = _fair_sampling(cells[0], n_trials)
-    if math.isnan(result.detected_freq):
-        raise ZeroProbabilityError(
-            "detected-pair frequency is undefined: no doubly registered trials"
-        )
-    return result
+    return _fair_sampling(cells[0], n_trials)
 
 
 @dataclass(frozen=True, eq=False)
 class ChshSimulation:
-    """Derived statistics of one CHSH Monte Carlo run."""
+    """One CHSH Monte Carlo run: its tallies, every reported (metric, pair,
+    value, std_error) row, and the three CHSH rows' values and errors."""
 
     setting: ChshSetting
     summary: SimulationSummary
-    micro_correlations: tuple[float, float, float, float]
-    micro_correlation_errors: tuple[float, float, float, float]
-    conditional_correlations: tuple[float, float, float, float]
-    conditional_correlation_errors: tuple[float, float, float, float]
-    detection_frequencies_a: tuple[float, float, float, float]
-    detection_frequencies_b: tuple[float, float, float, float]
-    all_sample_pair_frequencies: tuple[float, float, float, float]
-    detected_pair_frequencies: tuple[float, float, float, float]
-    divergences: tuple[float, float, float, float]
+    rows: tuple[tuple[str, str, float, float], ...]
     micro_chsh: float
     micro_chsh_error: float
     conditional_chsh: float
@@ -610,59 +616,57 @@ def simulate_chsh(
 ) -> ChshSimulation:
     """Run a model over the four CHSH pairs and derive every reported metric.
 
-    weighted_chsh_predicted applies the detection-weighted functional to the
-    measured conditional correlations using per-role measured detection
-    frequencies, so it should agree with the direct all-trials combination
-    whenever the two sides' detections are independent.
+    The rows are metric-major, pairs in PAIR_NAMES order, then the CHSH rows
+    with pair "".  weighted_chsh_predicted applies the detection-weighted
+    functional to the measured conditional correlations using per-role
+    measured detection frequencies, so it should agree with the direct
+    all-trials combination whenever the two sides' detections are independent.
     """
     rectangle = ((setting.a, setting.a_prime), (setting.b, setting.b_prime))
     cells = _run_tallies(model, [rectangle], n_trials, seed, n_workers)
     summary = SimulationSummary(int(n_trials), chsh_pairs(setting), _registered(cells), int(seed))
-    micro = tuple(summary.micro_correlation(i) for i in range(4))
-    micro_se = tuple(summary.micro_correlation_se(i) for i in range(4))
-    cond = tuple(summary.conditional_correlation(i) for i in range(4))
-    cond_se = tuple(summary.conditional_correlation_se(i) for i in range(4))
-    freq_a = tuple(summary.detection_frequency(i, "a") for i in range(4))
-    freq_b = tuple(summary.detection_frequency(i, "b") for i in range(4))
-    all_freq, det_freq, gaps = zip(*(_fair_sampling(c, n_trials) for c in cells))
-    micro_value, micro_error = summary_chsh(summary, conditional=False)
-    cond_value, cond_error = summary_chsh(summary, conditional=True)
+    micro, cond = _correlations(summary, False), _correlations(summary, True)
+    freq_a, freq_b = ([summary.detection_frequency(i, side) for i in range(4)] for side in "ab")
+    fair = [_fair_sampling(c, n_trials) for c in cells]
+    all_se = [_binomial_se(f.all_sample_freq, n_trials) for f in fair]
+    det_se = [
+        _binomial_se(f.detected_freq, summary.both_detected_count(i)) for i, f in enumerate(fair)
+    ]
+    per_pair = {
+        "micro_correlation": micro,
+        "conditional_correlation": cond,
+        "detection_frequency_a": [(f, _binomial_se(f, n_trials)) for f in freq_a],
+        "detection_frequency_b": [(f, _binomial_se(f, n_trials)) for f in freq_b],
+        "all_sample_pair_frequency": [(f.all_sample_freq, e) for f, e in zip(fair, all_se)],
+        "detected_pair_frequency": [(f.detected_freq, e) for f, e in zip(fair, det_se)],
+        "fair_sampling_divergence": [
+            (f.divergence, math.hypot(e, d)) for f, e, d in zip(fair, all_se, det_se)
+        ],
+    }
 
-    # Pool each role's detection frequency over the two pairs it enters.
-    pa = (freq_a[0] + freq_a[1]) / 2.0
-    pap = (freq_a[2] + freq_a[3]) / 2.0
-    pb = (freq_b[0] + freq_b[2]) / 2.0
-    pbp = (freq_b[1] + freq_b[3]) / 2.0
-    predicted = _combination(*cond, (pa, pap, pb, pbp))
-    se_pa, se_pap, se_pb, se_pbp = (
-        math.sqrt(max(0.0, p * (1.0 - p)) / (2 * n_trials)) for p in (pa, pap, pb, pbp)
-    )
+    # Both pairs a role enters count the same trials along its direction,
+    # so they share one frequency; its error still divides by 2n.
+    (pa, _, pap, _), (pb, pbp, _, _) = freq_a, freq_b
+    (c1, se1), (c2, se2), (c3, se3), (c4, se4) = cond
+    predicted = _combination(c1, c2, c3, c4, (pa, pap, pb, pbp))
+    se_pa, se_pap, se_pb, se_pbp = (_binomial_se(p, 2 * n_trials) for p in (pa, pap, pb, pbp))
     predicted_error = math.sqrt(
-        (pa * pb * cond_se[0]) ** 2
-        + (pa * pbp * cond_se[1]) ** 2
-        + (pap * pb * cond_se[2]) ** 2
-        + (pap * pbp * cond_se[3]) ** 2
-        + ((pb * cond[0] - pbp * cond[1]) * se_pa) ** 2
-        + ((pb * cond[2] + pbp * cond[3]) * se_pap) ** 2
-        + ((abs(pa * cond[0]) + abs(pap * cond[2])) * se_pb) ** 2
-        + ((abs(pa * cond[1]) + abs(pap * cond[3])) * se_pbp) ** 2
+        (pa * pb * se1) ** 2
+        + (pa * pbp * se2) ** 2
+        + (pap * pb * se3) ** 2
+        + (pap * pbp * se4) ** 2
+        + ((pb * c1 - pbp * c2) * se_pa) ** 2
+        + ((pb * c3 + pbp * c4) * se_pap) ** 2
+        + ((abs(pa * c1) + abs(pap * c3)) * se_pb) ** 2
+        + ((abs(pa * c2) + abs(pap * c4)) * se_pbp) ** 2
     )
-    return ChshSimulation(
-        setting=setting,
-        summary=summary,
-        micro_correlations=micro,
-        micro_correlation_errors=micro_se,
-        conditional_correlations=cond,
-        conditional_correlation_errors=cond_se,
-        detection_frequencies_a=freq_a,
-        detection_frequencies_b=freq_b,
-        all_sample_pair_frequencies=all_freq,
-        detected_pair_frequencies=det_freq,
-        divergences=gaps,
-        micro_chsh=micro_value,
-        micro_chsh_error=micro_error,
-        conditional_chsh=cond_value,
-        conditional_chsh_error=cond_error,
-        weighted_chsh_predicted=predicted,
-        weighted_chsh_predicted_error=predicted_error,
-    )
+    chsh = {
+        "micro_chsh": summary_chsh(summary),
+        "conditional_chsh": summary_chsh(summary, conditional=True),
+        "weighted_chsh_predicted": (predicted, predicted_error),
+    }
+    rows = [(name, pair, *entry) for name, entries in per_pair.items()
+            for pair, entry in zip(PAIR_NAMES, entries)]
+    rows += [(name, "", *entry) for name, entry in chsh.items()]
+    # The CHSH values and errors fill the last six fields in order.
+    return ChshSimulation(setting, summary, tuple(rows), *chain.from_iterable(chsh.values()))

@@ -446,7 +446,8 @@ class TestSimulate:
         sim = simulate_chsh(gisin_gisin_model(), ChshSetting.tsirelson(), 30000, 9)
         by_name = {(m["metric"], m["setting"]): m["value"] for m in payload["metrics"]}
         assert by_name[("micro_chsh", "")] == sim.micro_chsh
-        assert by_name[("conditional_correlation", "ab")] == sim.conditional_correlations[0]
+        columns = ("metric", "setting", "value", "std_error")
+        assert [tuple(m[c] for c in columns) for m in payload["metrics"]] == list(sim.rows)
 
     def test_sign_model_registers_everything(self, capsys):
         code, out, _ = run_cli(

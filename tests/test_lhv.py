@@ -689,17 +689,54 @@ class TestSimulateChsh:
 
     def test_fields_match_summary(self):
         sim = simulate_chsh(gisin_gisin_model(), ChshSetting.tsirelson(), 30000, 52)
-        for i in range(4):
-            assert sim.micro_correlations[i] == sim.summary.micro_correlation(i)
-            assert sim.conditional_correlations[i] == sim.summary.conditional_correlation(i)
-            assert sim.detection_frequencies_a[i] == sim.summary.detection_frequency(i, "a")
-            assert sim.detection_frequencies_b[i] == 1.0
-            assert 0.0 <= sim.all_sample_pair_frequencies[i] <= 1.0
-            assert sim.divergences[i] == pytest.approx(
-                abs(sim.all_sample_pair_frequencies[i] - sim.detected_pair_frequencies[i])
+        rows = {(metric, pair): (value, error) for metric, pair, value, error in sim.rows}
+        summary = sim.summary
+        for i, pair in enumerate(lhv.PAIR_NAMES):
+            assert rows["micro_correlation", pair] == (
+                summary.micro_correlation(i), summary.micro_correlation_se(i)
             )
-        assert sim.micro_chsh == standard_chsh_lhs(*sim.micro_correlations)
-        assert sim.conditional_chsh == standard_chsh_lhs(*sim.conditional_correlations)
+            assert rows["conditional_correlation", pair] == (
+                summary.conditional_correlation(i), summary.conditional_correlation_se(i)
+            )
+            assert rows["detection_frequency_a", pair] == (
+                summary.detection_frequency(i, "a"), summary.detection_frequency_se(i, "a")
+            )
+            assert rows["detection_frequency_b", pair] == (1.0, 0.0)
+            all_sample, _ = rows["all_sample_pair_frequency", pair]
+            detected, _ = rows["detected_pair_frequency", pair]
+            assert 0.0 <= all_sample <= 1.0
+            assert rows["fair_sampling_divergence", pair][0] == abs(all_sample - detected)
+        for name in ("micro", "conditional"):
+            values = [rows[f"{name}_correlation", pair][0] for pair in lhv.PAIR_NAMES]
+            assert getattr(sim, f"{name}_chsh") == standard_chsh_lhs(*values)
+
+    @pytest.mark.parametrize(
+        "model, setting",
+        [
+            (gisin_gisin_model(), ChshSetting.tsirelson()),
+            (
+                random_microstate_model(5),
+                ChshSetting(
+                    Z_AXIS, X_AXIS,
+                    Direction.normalized(0.6, 0.8, 0.0), Direction.normalized(0.0, 0.6, 0.8),
+                ),
+            ),
+        ],
+        ids=["gisin-gisin", "random-frames-out-of-plane"],
+    )
+    def test_chsh_fields_equal_their_rows(self, model, setting):
+        sim = simulate_chsh(model, setting, 40000, 53)
+        per_pair = [
+            "micro_correlation", "conditional_correlation", "detection_frequency_a",
+            "detection_frequency_b", "all_sample_pair_frequency", "detected_pair_frequency",
+            "fair_sampling_divergence",
+        ]
+        chsh = ["micro_chsh", "conditional_chsh", "weighted_chsh_predicted"]
+        assert [row[:2] for row in sim.rows] == [
+            (metric, pair) for metric in per_pair for pair in lhv.PAIR_NAMES
+        ] + [(name, "") for name in chsh]
+        for (_, _, value, error), name in zip(sim.rows[-3:], chsh):
+            assert (value, error) == (getattr(sim, name), getattr(sim, f"{name}_error"))
 
 
 class TestRandomModels:
