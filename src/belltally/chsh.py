@@ -205,17 +205,15 @@ def detection_bound(setting: ChshSetting, state: DensityState | None = None) -> 
     return float(_bound_from_denominator(standard_chsh_lhs(*e)))
 
 
-def _check_grid_step(step_deg: float) -> None:
+def _grid_angles_deg(step_deg: float) -> np.ndarray:
+    """The one coplanar grid of every maximum and scan: the floor(360 / step)
+    angles k * step, so a step not dividing 360 degrees drops the last partial one."""
     # Before any allocation: step in (0, 90], and n x n floats indexable.
     if not 0.0 < step_deg <= 90.0 + ALGEBRA_TOL:
         raise InputValidationError(f"grid step must lie in (0, 90] degrees, got {step_deg!r}")
     if (360.0 / step_deg) * (360.0 / step_deg) * 8.0 > np.iinfo(np.intp).max:
         raise InputValidationError(f"grid step is too fine: {360.0 / step_deg:.3g} angles per turn")
-
-
-def _grid_angles_deg(grid_step_deg: float) -> np.ndarray:
-    _check_grid_step(grid_step_deg)
-    return np.arange(0.0, 360.0 - 1e-9, grid_step_deg)
+    return np.arange(int(math.floor(360.0 / step_deg + 1e-9))) * step_deg
 
 
 def _grid_max(
@@ -263,7 +261,8 @@ def modified_lhs_grid_max(
     detection_probs: float | Sequence[float],
     grid_step_deg: float = 1.0,
 ) -> tuple[ChshSetting, float]:
-    """Maximum of the weighted functional over the coplanar angle grid.
+    """Maximum of the weighted functional over the coplanar angle grid of
+    _grid_angles_deg, the grid a scan at the same step lays.
 
     detection_probs is a shared scalar or the four role values
     (a, a', b, b'); direction-resolved models cannot apply across a whole
@@ -302,8 +301,9 @@ def min_detection_bound(grid_step_deg: float = 1.0, state: DensityState | None =
     """Global minimum of detection_bound over the coplanar angle grid.
 
     The bound of the standard functional's grid maximum,
-    modified_lhs_grid_max(state, 1.0, grid_step_deg); the state defaults to
-    the singlet, for which every step dividing 45 degrees gives 2**(-1/4)
+    modified_lhs_grid_max(state, 1.0, grid_step_deg), so the smallest bound
+    cell of a scan of the state at the same step; the state defaults to the
+    singlet, for which every step dividing 45 degrees gives 2**(-1/4)
     correctly rounded.
     """
     state = singlet_state() if state is None else state
@@ -320,9 +320,7 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step_deg: float) -
     _scan_slabs iterator, holding one slab of at most max(_SLAB_ROWS,
     n**2) rows at a time.  Every input check runs before this returns.
     """
-    _check_grid_step(grid_step_deg)
-    count = int(math.floor(360.0 / grid_step_deg + 1e-9))
-    components = plane_components(np.arange(count) * grid_step_deg)
+    components = plane_components(_grid_angles_deg(grid_step_deg))
     corr = _correlations(_plane_block(state), components, components)
     outside = np.abs(corr) > 1.0 + 1e-9
     if outside.any():
@@ -363,9 +361,6 @@ def _scan_slabs(corr: np.ndarray, probs: Sequence[Sequence[float]]) -> Iterator[
         modified = _combination(
             corr_b[ia], corr_bp[ia], corr_b[aps], corr_bp[aps], (pa[ia], pap[aps], pb, pbp)
         )
-        # ChshReport's range checks, on the whole slab; bounds of values >= 0 pass.
-        if standard.min() < 0.0 or modified.min() < 0.0:
-            raise InputValidationError("functional values cannot be negative")
         yield (
             ia, aps, standard, modified, _bound_from_denominator(standard),
             standard > 2.0 + VIOLATION_TOL, modified > 2.0 + VIOLATION_TOL,
@@ -375,7 +370,8 @@ def _scan_slabs(corr: np.ndarray, probs: Sequence[Sequence[float]]) -> Iterator[
 def angle_scan(
     state: DensityState, det: DetectionModel, grid_step: float
 ) -> Iterator[ChshReport]:
-    """Stream reports for every coplanar angle quadruple on the grid.
+    """Stream reports for every coplanar angle quadruple on the grid of
+    _grid_angles_deg, the one modified_lhs_grid_max searches.
 
     grid_step is in radians, in (0, pi/2].  Its value in degrees is
     rounded to 12 significant digits, since math.degrees(math.radians(30.0))

@@ -280,7 +280,8 @@ def _emit(cfg: ExperimentConfig, payload: dict[str, Any], columns: list[str], ro
 
 def cmd_bound(cfg: ExperimentConfig) -> int:
     """Report the state's equal-detection threshold for a setting and its
-    minimum over the x-z-plane grid, which need not be the state's minimum."""
+    minimum over the x-z-plane grid, which need not be the state's minimum:
+    the smallest bound cell of a scan of the state at the same step."""
     state = cfg.resolve_state()
     setting = cfg.resolve_setting()
     step = cfg.grid_step_deg if cfg.grid_step_deg is not None else 1.0

@@ -21,11 +21,11 @@ any trial count.
 
 Tally scheme
 ------------
-A chunk is drawn and counted in row blocks of 16384 trials, one sampler
-call per block on the chunk's generator, into buffers its worker thread
-reuses; the sampler draws row by row, so consecutive calls continue one
-stream.  It fills only the components of lam that an effective direction
-has nonzero; 0.0 in the others changes no nonzero alignment, as they enter
+A chunk is drawn and counted in row blocks of 16384 trials: the tally
+calls the sampler once per block on the chunk's generator, into buffers its
+worker thread reuses, and consecutive calls continue one stream.  The
+sampler fills only the components of lam that an effective direction has
+nonzero; 0.0 in the others changes no nonzero alignment, as they enter
 each one times +-0.0.  In a block the alignment with each distinct
 effective direction is one read-only matrix-vector product, which each side
 measuring along it maps to a 2-bit code per trial, 2 * detected +
@@ -81,8 +81,8 @@ PossessFn = Callable[[np.ndarray], np.ndarray]
 DetectFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # sampler(rng, count, *, out=None, reads=(True,) * 3) -> (axes, u_a, u_b), as
 # sample_hidden_uniform; where reads[k] is False it may put 0.0 in axes[:, k].
-# Runs call it once per block of at most _BLOCK rows, with out from
-# _sampler_buffers(_BLOCK), so it must draw row by row to continue one stream.
+# Only _chunk_tallies splits rows into blocks: one call per block of at most
+# _BLOCK rows, out from _sampler_buffers(_BLOCK), each continuing one stream.
 SamplerFn = Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
 # Each worker thread's block-sized sampler buffers, reused by every block.
 _worker = threading.local()
@@ -96,7 +96,7 @@ _CODE_TO_OUTCOME = np.array([[0, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=
 
 
 def _sampler_buffers(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return np.empty((count, 4)), np.empty((count, 3)), np.empty((3, min(count, _BLOCK)))
+    return np.empty((count, 4)), np.empty((count, 3)), np.empty((3, count))
 
 
 def sample_hidden_uniform(
@@ -106,29 +106,27 @@ def sample_hidden_uniform(
     """lam uniform on the sphere (area-preserving map), u_a and u_b uniform.
 
     Draw order is fixed (z, azimuth, u_a, u_b per trial) so samples are a
-    pure function of the generator state; filling axes in row blocks keeps it,
-    and so does splitting count over consecutive calls on one generator.
-    out, if given, is the (draws, axes, scratch) of _sampler_buffers(n) for an
-    n >= count, and the results are views of it; otherwise they are new arrays.
-    z is always filled, and x (cosine) and y (sine) where reads says, else 0.0.
+    pure function of the generator state; splitting count over consecutive
+    calls on one generator keeps it.  out, if given, is the (draws, axes,
+    scratch) of _sampler_buffers(n) for an n >= count, and the results are
+    views of it; otherwise they are new arrays.  z is always filled, and
+    x (cosine) and y (sine) where reads says, else 0.0.
     """
     draws, axes, scratch = _sampler_buffers(count) if out is None else out
     draws, axes = draws[:count], axes[:count]
+    azimuth, trig, radial = scratch[:, :count]
     rng.random(out=draws)
-    for start in range(0, count, _BLOCK):
-        block, rows = draws[start : start + _BLOCK], axes[start : start + _BLOCK]
-        azimuth, trig, radial = scratch[:, : len(block)]
-        z = rows[:, 2]
-        np.multiply(2.0, block[:, 0], out=z)
-        z -= 1.0
-        np.multiply(2.0 * math.pi, block[:, 1], out=azimuth)
-        # z lies in [-1, 1), so 1 - z*z is never negative.
-        np.sqrt(np.subtract(1.0, np.multiply(z, z, out=radial), out=radial), out=radial)
-        for k, trig_fn in ((0, np.cos), (1, np.sin)):
-            if reads[k]:
-                np.multiply(radial, trig_fn(azimuth, out=trig), out=rows[:, k])
-            else:
-                rows[:, k] = 0.0
+    z = axes[:, 2]
+    np.multiply(2.0, draws[:, 0], out=z)
+    z -= 1.0
+    np.multiply(2.0 * math.pi, draws[:, 1], out=azimuth)
+    # z lies in [-1, 1), so 1 - z*z is never negative.
+    np.sqrt(np.subtract(1.0, np.multiply(z, z, out=radial), out=radial), out=radial)
+    for k, trig_fn in ((0, np.cos), (1, np.sin)):
+        if reads[k]:
+            np.multiply(radial, trig_fn(azimuth, out=trig), out=axes[:, k])
+        else:
+            axes[:, k] = 0.0
     return axes, draws[:, 2], draws[:, 3]
 
 

@@ -332,7 +332,7 @@ class TestDetectionBound:
         return left, right
 
     @pytest.mark.parametrize(
-        "step, columns", [(1.0, 1), (2.0, 1), (7.5, 1), (90.0, 1), (3.3, 110), (13.0, 28)]
+        "step, columns", [(1.0, 1), (2.0, 1), (7.5, 1), (90.0, 1), (3.3, 109), (13.0, 27)]
     )
     def test_closed_grids_pass_one_column(self, monkeypatch, step, columns):
         """A grid closed under rotation passes only column 0 of the singlet's
@@ -349,7 +349,7 @@ class TestDetectionBound:
         [
             ("werner-0.8", 5.0, 1),
             ("werner-0.95", 15.0, 1),
-            ("werner-0.8", 13.0, 28),
+            ("werner-0.8", 13.0, 27),
             ("random", 5.0, 72),
             ("random", 15.0, 24),
         ],
@@ -667,3 +667,20 @@ class TestScanSlabs:
         assert next(reference, None) is None
         starts = range(0, n, k)
         assert runs == [(ia, j, min(j + k, n)) for ia in range(n) for j in starts]
+
+
+class TestOneGrid:
+    """bound and scan lay one coplanar grid, so at steps that do not divide
+    360 degrees the grid maximum is still the largest scan cell."""
+
+    @pytest.mark.parametrize("step", [50.0, 70.0, 80.0])
+    def test_grid_maximum_is_the_largest_scan_cell(self, step):
+        rng = np.random.default_rng(5)
+        det = DetectionModel.uniform(1.0)
+        for _ in range(20):
+            state = random_density_state(rng, "mixed")
+            *_, slabs = chsh._scan_grid(state, det, step)
+            cells = [(standard.max(), bound.min()) for _, _, standard, _, bound, *_ in slabs]
+            standard, bound = max(c[0] for c in cells), min(c[1] for c in cells)
+            assert modified_lhs_grid_max(state, 1.0, step)[1] == standard
+            assert min_detection_bound(step, state) == bound

@@ -188,6 +188,22 @@ class TestScan:
         preset = ["0.000000", "90.000000", "45.000000", "135.000000"]
         assert [row[10] for row in rows if row[:4] == preset] == ["0.940151"]
 
+    @pytest.mark.parametrize("step", ["50", "80"])
+    def test_grid_min_bound_is_the_smallest_scan_cell(self, capsys, tmp_path, step):
+        """bound and scan lay one grid, so at a step that does not divide 360
+        degrees bound's grid_min_bound is still the smallest bound cell of a
+        scan of the same state, here cos 0.5|01> - sin 0.5|10>."""
+        psi = [0.0, math.cos(0.5), -math.sin(0.5), 0.0]
+        cfg = tmp_path / "pure.json"
+        cfg.write_text(json.dumps({"state": np.outer(psi, psi).tolist()}))
+        argv = ["--config", str(cfg), "--grid-step", step, "--format", "json"]
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert code == 0 and err == ""
+        grid_min = json.loads(out)["grid_min_bound"]
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 0 and err == ""
+        assert grid_min == min(row["bound"] for row in json.loads(out)["rows"])
+
     def test_default_grid_hits_the_preset(self, capsys):
         code, out, _ = run_cli(capsys, "scan")
         assert code == 0

@@ -687,6 +687,19 @@ class TestSimulateChsh:
         gap = abs(sim.weighted_chsh_predicted - sim.micro_chsh)
         assert gap <= 4.0 * (sim.weighted_chsh_predicted_error + sim.micro_chsh_error)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_weighted_prediction_when_b_misses_at_random(self, seed):
+        """gisin-gisin's B always registers, so there the prediction equals
+        the micro CHSH count for count.  Here B registers when u_b < 0.7,
+        independently of lam, so the prediction is an estimate of its own,
+        and the two sides' detections are still independent."""
+        model = dataclasses.replace(
+            gisin_gisin_model(), name="b-misses", detect_b=lambda alignment, u: u < 0.7
+        )
+        sim = simulate_chsh(model, ChshSetting.tsirelson(), 200000, seed)
+        gap = abs(sim.weighted_chsh_predicted - sim.micro_chsh)
+        assert 0.0 < gap <= 4.0 * (sim.weighted_chsh_predicted_error + sim.micro_chsh_error)
+
     def test_fields_match_summary(self):
         sim = simulate_chsh(gisin_gisin_model(), ChshSetting.tsirelson(), 30000, 52)
         rows = {(metric, pair): (value, error) for metric, pair, value, error in sim.rows}
