@@ -6,11 +6,13 @@ simulate output runs at one and at two workers against the same file.
 Outputs too large to keep as files are checked against frozen sha256
 digests instead: the 15 and 30 degree scans the benchmark runs, a 13
 degree grid that is not closed under rotation, with odd probabilities
-and angle cells 8 to 10 characters wide, and a 20 degree scan whose
-modified_lhs column is all zero.  Four seeded simulate JSON runs, two
+and angle cells 8 to 10 characters wide, the same grid and probabilities
+as JSON at apparatus factor 0.5, and a 20 degree scan whose modified_lhs
+column is all zero.  Four seeded simulate JSON runs, two
 whose settings lie in the x-z plane, one out of it and one of the constant
-model, are digests too, checked at one and at two workers.  Four of the scans are rerun with the
-scan's slab size patched, so that their bytes cannot depend on it.
+model, are digests too, checked at one and at two workers.  Five of the
+scans are rerun with the scan's slab size patched, so that their bytes
+cannot depend on it.
 
 The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
 Do that only for an intended output change, and declare it.  The same run
@@ -48,8 +50,8 @@ GOLDEN_COMMANDS = {
     "simulate.json": ["simulate", "--trials", "70000", "--seed", "7", "--format", "json"],
 }
 
-# sha256 of stdout, frozen like the golden files: 331,776, 20,736, 531,441
-# and 104,976 rows.
+# sha256 of stdout, frozen like the golden files: 331,776, 20,736, 531,441,
+# 104,976 and 10,000 rows.
 GOLDEN_DIGESTS = {
     "scan-15-detection.csv": (
         ["scan", "--grid-step", "15", "--detection", "0.9,0.8,0.85,0.95"],
@@ -66,6 +68,11 @@ GOLDEN_DIGESTS = {
     "scan-20-zero-detection.csv": (
         ["scan", "--grid-step", "20", "--detection", "0"],
         "962bb87427dc22224988a1e4ffe84b2953cdfbbefc45bb32cb6ba1dd9708a84f",
+    ),
+    "scan-33-odd-detection.json": (
+        ["scan", "--grid-step", "33", "--format", "json",
+         "--detection", "0.3333,0.9999,0.123456789,1", "--apparatus-factor", "0.5"],
+        "ad4b18a8f98b1c0c3d6a1173351547e43ec36995beea474b5bd6893c58af2930",
     ),
 }
 
@@ -140,6 +147,7 @@ SLAB_SCANS = {
     "scan-90.json": 4,
     "scan-30.json": 12,
     "scan-20-zero-detection.csv": 18,
+    "scan-33-odd-detection.json": 10,
 }
 
 
