@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,19 +151,23 @@ def conditional_expectations(
     return e1, e2, e3, e4
 
 
-def resolve_setting_detection(
-    det: DetectionModel, state_label: str, setting: ChshSetting
-) -> tuple[float, float, float, float]:
-    """Detection probabilities for the four setting roles.
+def _role_probabilities(
+    det: DetectionModel, state_label: str, directions_by_role: Iterable[Sequence[Direction]]
+) -> list[list[float]]:
+    """Detection probabilities of each direction given per role (a, a', b, b').
 
-    Each role resolves through the spin-observable label for its direction,
-    then the role alias ("a", "a_prime", "b", "b_prime"), then the model
-    default.
+    Each resolves through the spin-observable label for its direction, then
+    the role alias ("a", "a_prime", "b", "b_prime"), then the model default;
+    an unresolvable one raises a ConfigurationError naming the role.
     """
-    return tuple(
-        det.probability(state_label, spin_label(d, subsystem), role=role)
-        for d, (role, subsystem) in zip(setting.directions(), _ROLES)
-    )  # type: ignore[return-value]
+    probs = []
+    for (role, subsystem), directions in zip(_ROLES, directions_by_role):
+        labels = [spin_label(d, subsystem) for d in directions]
+        try:
+            probs.append([det.probability(state_label, label, role) for label in labels])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"cannot resolve role {role!r}: {exc}") from None
+    return probs
 
 
 def modified_chsh_lhs(
@@ -176,7 +180,7 @@ def modified_chsh_lhs(
     only when the four resolved values coincide.
     """
     e1, e2, e3, e4 = conditional_expectations(state, setting)
-    probs = resolve_setting_detection(det, state.label, setting)
+    probs = tuple(p for (p,) in _role_probabilities(det, state.label, zip(setting.directions())))
     standard = standard_chsh_lhs(e1, e2, e3, e4)
     weighted = _combination(e1, e2, e3, e4, probs)
     return ChshReport(
@@ -326,14 +330,7 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step_deg: float) -
     if outside.any():
         raise InputValidationError(f"correlation {float(corr[outside][0])!r} lies outside [-1, 1]")
     directions = [Direction(x, 0.0, z) for x, z in components.tolist()]
-    probs = []
-    for role, subsystem in _ROLES:
-        try:
-            probs.append(
-                [det.probability(state.label, spin_label(d, subsystem), role) for d in directions]
-            )
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"scan cannot resolve role {role!r}: {exc}") from None
+    probs = _role_probabilities(det, state.label, [directions] * 4)
     return directions, probs, corr, _scan_slabs(corr, probs)
 
 

@@ -3,12 +3,12 @@
 Data goes to stdout as CSV (fixed-point, 6 decimals) or JSON (full
 precision, schema_version 1); diagnostics go to stderr.  bound, simulate and
 sequential write through one emitter; scan streams its rows one slab of at
-most max(chsh._SLAB_ROWS, n**2) rows at a time.  CSV number cells are
-byte-identical to Python's '%.6f', correctly rounded with ties to even.
-argparse only collects strings, and a flag value is converted and checked
-like the same value in a config file.  Exit code 0 on success; 2 with one
-"error:" line for a bad value, or with argparse's usage for a malformed
-command line.
+most max(chsh._SLAB_ROWS, n**2) rows at a time, as NUL-padded CSV records
+or as one JSON f-string per row.  CSV number cells are byte-identical to
+Python's '%.6f', correctly rounded with ties to even.  argparse only
+collects strings, and a flag value is converted and checked like the same
+value in a config file.  Exit code 0 on success; 2 with one "error:" line
+for a bad value, or with argparse's usage for a malformed command line.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, product
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -140,13 +140,9 @@ class ExperimentConfig:
     def resolve_directions(self, count: int) -> list[Direction]:
         spec = self.angles_spec
         if isinstance(spec, str) and spec == "tsirelson":
-            if count != 4:
-                raise ConfigurationError(
-                    "the 'tsirelson' preset names four directions, "
-                    f"but this command needs {count}"
-                )
-            setting = ChshSetting.tsirelson()
-            return list(setting.directions())
+            # Two directions are the preset's first correlation pair (a, b).
+            directions = ChshSetting.tsirelson().directions()
+            return list(directions if count == 4 else directions[::2])
         values = _parse_angles(spec)
         if len(values) != count:
             raise ConfigurationError(
@@ -379,38 +375,30 @@ def _scan_text(scan: tuple) -> Iterator[str]:
     """The rows of a _scan_grid scan as JSON text, one chunk per slab.
 
     The chunks are the text json.dump(indent=2) writes for the rows inside
-    the payload's "rows" list, with no comma after the last.  Cells that
-    depend on one grid angle are formatted once per angle, and so are the
-    (b, b') and flag cell pairs; each slab of at most max(_SLAB_ROWS, n**2)
-    rows is one %-template, filled with those pairs and the computed columns.
+    the payload's "rows" list, with no comma after the last: one f-string per
+    row over angle_scan's row walk, joined once per slab, with angle and
+    probability cells as json.dumps text made once per grid angle and the
+    computed numbers as repr, json.dump's text for a finite float.
     """
-    # leads[k] is the text before the cell of column k.
-    leads = [f',\n      "{column}": ' for column in SCAN_COLUMNS]
-    leads[0] = f'    {{\n      "{SCAN_COLUMNS[0]}": '
     directions, probs, _, slabs = scan
     angles = [json.dumps(d.plane_angle_deg()) for d in directions]
     pa, pap, pb, pbp = ([json.dumps(p) for p in role] for role in probs)
-    grid = range(len(angles))
-    b_pairs = [angles[j] + leads[3] + angles[k] for j in grid for k in grid]
-    pb_pairs = [pb[j] + leads[7] + pbp[k] for j in grid for k in grid]
-    flags = ("false", "true")
-    flag_pairs = np.array([s + leads[12] + m for s in flags for m in flags])
-
-    def row(ia: int, iap: int) -> str:  # one row's template, its (a, a') cells filled
-        return "".join(
-            [",\n", leads[0], angles[ia], leads[1], angles[iap], leads[2], "%s"]
-            + [leads[4], pa[ia], leads[5], pap[iap], leads[6], "%s"]
-            + [leads[8], "%r", leads[9], "%r", leads[10], "%r", leads[11], "%s", "\n    }"]
-        )
-
-    skip = 2  # no ",\n" before the first row
-    for ia, aps, standard, modified, bound, standard_violated, modified_violated in slabs:
-        rows = "".join(row(ia, iap) * len(b_pairs) for iap in grid[aps])
-        numbers = (column.ravel().tolist() for column in (standard, modified, bound))
-        flag_text = flag_pairs[2 * standard_violated + modified_violated].ravel().tolist()
-        values = zip(cycle(b_pairs), cycle(pb_pairs), *numbers, flag_text)
-        yield (rows % tuple(chain.from_iterable(values)))[skip:]
-        skip = 0
+    grid, flags = range(len(angles)), ("false", "true")
+    lead = ""  # no ",\n" before the first row
+    for ia, aps, *columns in slabs:
+        a, p_a = angles[ia], pa[ia]
+        rows = zip(product(grid[aps], grid, grid), *(c.ravel().tolist() for c in columns))
+        yield lead + ",\n".join([
+            f'    {{\n      "a_deg": {a},\n      "aprime_deg": {angles[iap]},\n'
+            f'      "b_deg": {angles[ib]},\n      "bprime_deg": {angles[ibp]},\n'
+            f'      "pd_a": {p_a},\n      "pd_aprime": {pap[iap]},\n'
+            f'      "pd_b": {pb[ib]},\n      "pd_bprime": {pbp[ibp]},\n'
+            f'      "standard_lhs": {standard!r},\n      "modified_lhs": {modified!r},\n'
+            f'      "bound": {bound!r},\n      "standard_violated": {flags[sv]},\n'
+            f'      "modified_violated": {flags[mv]}\n    }}'
+            for (iap, ib, ibp), standard, modified, bound, sv, mv in rows
+        ])
+        lead = ",\n"
 
 
 def cmd_scan(cfg: ExperimentConfig) -> int:

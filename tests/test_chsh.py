@@ -628,6 +628,22 @@ class TestAngleScan:
         with pytest.raises(ConfigurationError, match="role"):
             next(angle_scan(singlet_state(), DetectionModel(), math.pi / 2.0))
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda state, det: modified_chsh_lhs(ChshSetting.tsirelson(), state, det),
+            lambda state, det: chsh._scan_grid(state, det, 45.0),
+            lambda state, det: next(angle_scan(state, det, math.pi / 4.0)),
+        ],
+        ids=["point", "scan-grid", "angle-scan"],
+    )
+    def test_unresolvable_role_is_named(self, evaluate):
+        """Point and grid evaluation resolve roles in one place, and a model
+        with an entry for role a alone and no default fails on a' first."""
+        det = DetectionModel(entries={("singlet", "a"): 0.9})
+        with pytest.raises(ConfigurationError, match=r"^cannot resolve role 'a_prime': no "):
+            evaluate(singlet_state(), det)
+
     def test_step_validation(self):
         with pytest.raises(InputValidationError):
             next(angle_scan(singlet_state(), DetectionModel.uniform(1.0), 2.0))

@@ -32,7 +32,9 @@ from belltally import (
     spin_label,
 )
 from belltally import chsh
-from belltally.cli import MODELS, _fixed6, _scan_csv, build_parser, main
+from belltally.cli import (
+    MODELS, SCAN_COLUMNS, _fixed6, _scan_csv, _scan_text, build_parser, main,
+)
 from conftest import werner_state
 
 TSIRELSON_VECTORS = (
@@ -40,6 +42,16 @@ TSIRELSON_VECTORS = (
     "0.7071067811865476,0,0.7071067811865476;"
     "0.7071067811865476,0,-0.7071067811865476"
 )
+
+
+def spin_keyed_detection():
+    """Per-role detection with entries keyed by spin label for some grid
+    angles, so that pd_a, pd_a' and pd_b vary along a 45-degree grid."""
+    roles = ("a", "a_prime", "b", "b_prime")
+    entries = {("singlet", role): p for role, p in zip(roles, (0.9, 0.8, 0.85, 0.95))}
+    for angle, subsystem, p in ((45.0, 1, 0.5), (270.0, 1, 0.6), (90.0, 2, 0.7)):
+        entries[("singlet", spin_label(Direction.from_plane_degrees(angle), subsystem))] = p
+    return DetectionModel(entries=entries)
 
 
 def run_cli(capsys, *argv):
@@ -304,11 +316,7 @@ class TestScan:
         grid, which no command line input gives; every slab of 3 (not
         dividing 8) or 8 a' angles renders each row's own '%.6f' cells."""
         monkeypatch.setattr(chsh, "_SLAB_ROWS", slab_angles * 64)
-        roles = ("a", "a_prime", "b", "b_prime")
-        entries = {("singlet", role): p for role, p in zip(roles, (0.9, 0.8, 0.85, 0.95))}
-        for angle, subsystem, p in ((45.0, 1, 0.5), (270.0, 1, 0.6), (90.0, 2, 0.7)):
-            entries[("singlet", spin_label(Direction.from_plane_degrees(angle), subsystem))] = p
-        det = DetectionModel(entries=entries)
+        det = spin_keyed_detection()
         text = "".join(_scan_csv(chsh._scan_grid(singlet_state(), det, 45.0)))
         expected = []
         for r in angle_scan(singlet_state(), det, math.pi / 4.0):
@@ -318,6 +326,26 @@ class TestScan:
             expected.append(",".join(["%.6f" % v for v in cells] + flags) + "\n")
         assert len({row.split(",")[5] for row in expected}) > 1
         assert text == "".join(expected)
+
+    @pytest.mark.parametrize("slab_angles", [3, 8])
+    def test_json_renderer_writes_per_angle_probabilities(self, monkeypatch, slab_angles):
+        """The JSON twin of the CSV test above: in slabs of 3 or 8 a' angles,
+        every parsed row holds the cells of angle_scan's report, in column
+        order, with pd_a and pd_a' varying along the grid."""
+        monkeypatch.setattr(chsh, "_SLAB_ROWS", slab_angles * 64)
+        det = spin_keyed_detection()
+        text = "".join(_scan_text(chsh._scan_grid(singlet_state(), det, 45.0)))
+        rows = json.loads("[" + text + "]")
+        reports = list(angle_scan(singlet_state(), det, math.pi / 4.0))
+        assert len(rows) == len(reports) == 8**4
+        for row, r in zip(rows, reports):
+            assert list(row) == SCAN_COLUMNS
+            assert list(row.values()) == [
+                *r.setting.plane_angles_deg(), *r.detection_probs, r.standard_lhs,
+                r.modified_lhs, r.bound, r.standard_violated, r.modified_violated,
+            ]
+        assert len({row["pd_a"] for row in rows}) > 1
+        assert len({row["pd_aprime"] for row in rows}) > 1
 
     @needs_wait4
     def test_csv_scan_memory_stays_near_a_bare_import(self):
@@ -515,6 +543,15 @@ class TestSequential:
         rows = csv_rows(out)
         correlation = [r[3] for r in rows if r[0] == "correlation"][0]
         assert correlation == "-0.200000"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bare_command_takes_the_presets_first_pair(self, capsys, fmt):
+        """Two directions of the tsirelson preset are (a, b) = (0, 45) degrees."""
+        code, bare, err = run_cli(capsys, "sequential", "--format", fmt)
+        assert code == 0 and err == ""
+        assert bare == run_cli(capsys, "sequential", "--angles", "0,45", "--format", fmt)[1]
+        if fmt == "json":
+            assert json.loads(bare)["correlation"] == -0.7071067811865475
 
     def test_json_distribution_sums_to_one(self, capsys):
         code, out, _ = run_cli(
