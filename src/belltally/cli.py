@@ -18,7 +18,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import accumulate, product
 from typing import Any, Iterator, Sequence
 
@@ -88,32 +88,31 @@ def _integer(value: Any) -> int:
     return int(value)
 
 
-def _config_field(default: Any, key: str | None = None, convert: Any = None) -> Any:
-    # One config field: key names both the config-file key and the flag's
-    # argparse dest (the field name when None); convert, when given, is
-    # applied to a supplied value.
-    return field(default=default, metadata={"key": key, "convert": convert})
+# The converter of each config key that takes one; other values pass as given.
+_CONVERT = {"apparatus_factor": float, "trials": _integer, "seed": _integer, "format": str,
+            "grid_step": _optional_float, "model": str, "workers": _integer}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Merged command configuration; flags override config-file values."""
+    """Merged command configuration; flags override config-file values.
+    Each field is named by its config key, which is its flag's argparse dest."""
 
-    state_spec: Any = _config_field("singlet", "state")
-    angles_spec: Any = _config_field("tsirelson", "angles")
-    detection_spec: Any = _config_field(1.0, "detection")
-    apparatus_factor: float = _config_field(1.0, convert=float)
-    trials: int = _config_field(100000, convert=_integer)
-    seed: int = _config_field(0, convert=_integer)
-    format: str = _config_field("csv", convert=str)
-    grid_step_deg: float | None = _config_field(None, "grid_step", _optional_float)
-    model_name: str = _config_field("gisin-gisin", "model", str)
-    workers: int = _config_field(1, convert=_integer)
+    state: Any = "singlet"
+    angles: Any = "tsirelson"
+    detection: Any = 1.0
+    apparatus_factor: float = 1.0
+    trials: int = 100000
+    seed: int = 0
+    format: str = "csv"
+    grid_step: float | None = None
+    model: str = "gisin-gisin"
+    workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.model_name not in MODELS:
+        if self.model not in MODELS:
             raise ConfigurationError(
-                f"unknown model {self.model_name!r}; available: {sorted(MODELS)}"
+                f"unknown model {self.model!r}; available: {sorted(MODELS)}"
             )
         if self.format not in ("csv", "json"):
             raise InputValidationError(f"format must be 'csv' or 'json', got {self.format!r}")
@@ -123,13 +122,13 @@ class ExperimentConfig:
             raise InputValidationError(f"workers must be positive, got {self.workers!r}")
         if self.seed < 0:
             raise InputValidationError(f"seed must be nonnegative, got {self.seed!r}")
-        if self.grid_step_deg is not None and not 0.0 < self.grid_step_deg <= 90.0:
+        if self.grid_step is not None and not 0.0 < self.grid_step <= 90.0:
             raise InputValidationError(
-                f"grid step must lie in (0, 90] degrees, got {self.grid_step_deg!r}"
+                f"grid step must lie in (0, 90] degrees, got {self.grid_step!r}"
             )
 
     def resolve_state(self) -> DensityState:
-        spec = self.state_spec
+        spec = self.state
         if isinstance(spec, str):
             if spec == "singlet":
                 return singlet_state()
@@ -138,7 +137,7 @@ class ExperimentConfig:
         return DensityState(matrix, "custom")
 
     def resolve_directions(self, count: int) -> list[Direction]:
-        spec = self.angles_spec
+        spec = self.angles
         if isinstance(spec, str) and spec == "tsirelson":
             # Two directions are the preset's first correlation pair (a, b).
             directions = ChshSetting.tsirelson().directions()
@@ -150,12 +149,8 @@ class ExperimentConfig:
             )
         return values
 
-    def resolve_setting(self) -> ChshSetting:
-        a, a_prime, b, b_prime = self.resolve_directions(4)
-        return ChshSetting(a, a_prime, b, b_prime)
-
     def resolve_detection(self, state_label: str, roles: Sequence[str]) -> DetectionModel:
-        spec = self.detection_spec
+        spec = self.detection
         if isinstance(spec, str):
             spec = _parse_number_list(spec)
             if len(spec) == 1:
@@ -171,9 +166,6 @@ class ExperimentConfig:
             )
         entries = {(state_label, role): value for role, value in zip(roles, values)}
         return DetectionModel(entries=entries, apparatus_factor=self.apparatus_factor)
-
-
-_CONFIG_FIELDS = {spec.metadata["key"] or spec.name: spec for spec in fields(ExperimentConfig)}
 
 
 def _number(value: Any) -> float:
@@ -228,6 +220,7 @@ def _parse_complex_matrix(spec: Any) -> np.ndarray:
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
+    keys = [spec.name for spec in fields(ExperimentConfig)]
     file_values: dict[str, Any] = {}
     if getattr(args, "config", None):
         try:
@@ -237,20 +230,20 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigurationError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        unknown = set(file_values) - set(_CONFIG_FIELDS)
+        unknown = set(file_values) - set(keys)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
 
     values: dict[str, Any] = {}
-    for key, spec in _CONFIG_FIELDS.items():
+    for key in keys:
         value = getattr(args, key, None)
         if value is None:
             if key not in file_values:
                 continue
             value = file_values[key]
-        convert = spec.metadata["convert"]
+        convert = _CONVERT.get(key)
         try:
-            values[spec.name] = value if convert is None else convert(value)
+            values[key] = value if convert is None else convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"malformed {key} value: {exc}") from exc
     return ExperimentConfig(**values)
@@ -279,8 +272,8 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     minimum over the x-z-plane grid, which need not be the state's minimum:
     the smallest bound cell of a scan of the state at the same step."""
     state = cfg.resolve_state()
-    setting = cfg.resolve_setting()
-    step = cfg.grid_step_deg if cfg.grid_step_deg is not None else 1.0
+    setting = ChshSetting(*cfg.resolve_directions(4))
+    step = cfg.grid_step if cfg.grid_step is not None else 1.0
     bound = detection_bound(setting, state)
     grid_min = min_detection_bound(step, state)
     angles = setting.plane_angles_deg()
@@ -405,7 +398,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     """Stream both functionals over the coplanar angle grid."""
     state = cfg.resolve_state()
     det = cfg.resolve_detection(state.label, tuple(role for role, _ in _ROLES))
-    step = cfg.grid_step_deg if cfg.grid_step_deg is not None else 45.0
+    step = cfg.grid_step if cfg.grid_step is not None else 45.0
     scan = _scan_grid(state, det, step)
     if cfg.format == "json":
         sys.stdout.write(
@@ -422,13 +415,13 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Run a local model over the four CHSH pairs and report its statistics."""
-    model = MODELS[cfg.model_name]()
-    setting = cfg.resolve_setting()
+    model = MODELS[cfg.model]()
+    setting = ChshSetting(*cfg.resolve_directions(4))
     sim = simulate_chsh(model, setting, cfg.trials, cfg.seed, cfg.workers)
     columns = ["metric", "setting", "value", "std_error"]
     angles = setting.plane_angles_deg()
     payload = {
-        "model": cfg.model_name,
+        "model": cfg.model,
         "trials": cfg.trials,
         "seed": cfg.seed,
         "angles_deg": None if angles is None else list(angles),
@@ -465,37 +458,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detection-aware Bell/CHSH statistics for two-qubit experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bound = sub.add_parser("bound", help="equal-detection threshold for a setting")
-    p_bound.add_argument("--angles", help="tsirelson | degrees | 3-vectors")
-    p_bound.add_argument("--grid-step")
-    p_bound.set_defaults(handler=cmd_bound)
-
-    p_scan = sub.add_parser("scan", help="both functionals over the coplanar grid")
-    p_scan.add_argument("--state", help="state name (singlet)")
-    p_scan.add_argument("--detection", help="uniform p or a,a',b,b' values")
-    p_scan.add_argument("--apparatus-factor")
-    p_scan.add_argument("--grid-step")
-    p_scan.set_defaults(handler=cmd_scan)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo run of a local model")
-    p_sim.add_argument("--model", help=" | ".join(MODELS))
-    p_sim.add_argument("--angles", help="tsirelson | degrees | 3-vectors")
-    p_sim.add_argument("--trials")
-    p_sim.add_argument("--seed")
-    p_sim.add_argument("--workers")
-    p_sim.set_defaults(handler=cmd_simulate)
-
-    p_seq = sub.add_parser("sequential", help="factored two-measurement distribution")
-    p_seq.add_argument("--state", help="state name (singlet)")
-    p_seq.add_argument("--angles", help="two degrees or two 3-vectors")
-    p_seq.add_argument("--detection", help="uniform p or a,b values")
-    p_seq.add_argument("--apparatus-factor")
-    p_seq.set_defaults(handler=cmd_sequential)
-
-    for command in sub.choices.values():
-        command.add_argument("--format", help="csv (default) | json")
-        command.add_argument("--config", help="JSON config file; flags override it")
+    angles, state = "tsirelson | degrees | 3-vectors", "state name (singlet)"
+    # Each subcommand's handler, help, and flags with their help text, in order.
+    commands = {
+        "bound": (cmd_bound, "equal-detection threshold for a setting",
+                  {"--angles": angles, "--grid-step": None}),
+        "scan": (cmd_scan, "both functionals over the coplanar grid",
+                 {"--state": state, "--detection": "uniform p or a,a',b,b' values",
+                  "--apparatus-factor": None, "--grid-step": None}),
+        "simulate": (cmd_simulate, "Monte Carlo run of a local model",
+                     {"--model": " | ".join(MODELS), "--angles": angles,
+                      "--trials": None, "--seed": None, "--workers": None}),
+        "sequential": (cmd_sequential, "factored two-measurement distribution",
+                       {"--state": state, "--angles": "two degrees or two 3-vectors",
+                        "--detection": "uniform p or a,b values", "--apparatus-factor": None}),
+    }
+    common = {"--format": "csv (default) | json", "--config": "JSON config file; flags override it"}
+    for name, (handler, text, flags) in commands.items():
+        command = sub.add_parser(name, help=text)
+        for flag, flag_text in {**flags, **common}.items():
+            command.add_argument(flag, help=flag_text)
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from belltally import (
 )
 from belltally import chsh
 from belltally.cli import (
-    MODELS, SCAN_COLUMNS, _fixed6, _scan_csv, _scan_text, build_parser, main,
+    MODELS, SCAN_COLUMNS, ExperimentConfig, _fixed6, _scan_csv, _scan_text, build_parser, main,
 )
 from conftest import werner_state
 
@@ -619,6 +620,15 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "bound", "--config", str(tmp_path / "absent.json"))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("command, default", [("bound", 1.0), ("scan", 45.0)])
+    def test_null_grid_step_takes_the_commands_default(self, capsys, tmp_path, command, default):
+        """grid_step is the one key that accepts null, meaning the command's own step."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"grid_step": null}')
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["grid_step_deg"] == default
+
 
 # A bad value for each kind of flag: (command, flag, value, config key).
 BAD_FLAG_VALUES = [
@@ -635,15 +645,59 @@ BAD_FLAG_IDS = ["model-nope", "trials-0", "trials-abc", "seed-negative", "grid-s
                 "grid-step-91", "apparatus-factor-text", "format-xml"]
 
 
+ANGLES_HELP, STATE_HELP = "tsirelson | degrees | 3-vectors", "state name (singlet)"
+COMMON_HELP = [("format", "csv (default) | json"), ("config", "JSON config file; flags override it")]
+# Each subcommand's help and its flags' (dest, help) pairs, in help order.
+SUBCOMMAND_HELP = {
+    "bound": ("equal-detection threshold for a setting", [
+        ("angles", ANGLES_HELP), ("grid_step", None),
+    ]),
+    "scan": ("both functionals over the coplanar grid", [
+        ("state", STATE_HELP), ("detection", "uniform p or a,a',b,b' values"),
+        ("apparatus_factor", None), ("grid_step", None),
+    ]),
+    "simulate": ("Monte Carlo run of a local model", [
+        ("model", "gisin-gisin | sign | constant"), ("angles", ANGLES_HELP),
+        ("trials", None), ("seed", None), ("workers", None),
+    ]),
+    "sequential": ("factored two-measurement distribution", [
+        ("state", STATE_HELP), ("angles", "two degrees or two 3-vectors"),
+        ("detection", "uniform p or a,b values"), ("apparatus_factor", None),
+    ]),
+}
+
+
+def subcommand_actions():
+    (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    return subparsers
+
 class TestParser:
     def test_no_option_converts_or_restricts_its_value(self):
         """argparse only collects strings; load_config converts and checks them."""
-        (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+        subparsers = subcommand_actions()
         assert sorted(subparsers.choices) == ["bound", "scan", "sequential", "simulate"]
         for name, sub in subparsers.choices.items():
             for action in sub._actions:
                 assert action.type is None, (name, action.dest)
                 assert action.choices is None, (name, action.dest)
+
+    def test_each_subcommand_has_its_flags_and_help_text(self):
+        """The parser's data, read from the parser rather than from --help
+        text, whose layout varies across Python versions."""
+        subparsers = subcommand_actions()
+        listed = {a.dest: a.help for a in subparsers._choices_actions}
+        assert listed == {name: text for name, (text, _) in SUBCOMMAND_HELP.items()}
+        assert list(subparsers.choices) == list(SUBCOMMAND_HELP)
+        for name, sub in subparsers.choices.items():
+            flags = [(a.dest, a.help) for a in sub._actions]
+            help_flag = ("help", "show this help message and exit")
+            assert flags == [help_flag, *SUBCOMMAND_HELP[name][1], *COMMON_HELP], name
+
+    def test_every_flag_names_a_config_field(self):
+        keys = {spec.name for spec in fields(ExperimentConfig)}
+        for name, sub in subcommand_actions().choices.items():
+            for action in sub._actions:
+                assert action.dest in {"help", "config"} | keys, (name, action.dest)
 
     @pytest.mark.parametrize("command", ["bound", "scan", "simulate", "sequential"])
     def test_help_names_the_accepted_values(self, capsys, command):
