@@ -318,20 +318,22 @@ def min_detection_bound(grid_step_deg: float = 1.0, state: DensityState | None =
 def _scan_grid(state: DensityState, det: DetectionModel, grid_step_deg: float) -> tuple:
     """Check and lay out the coplanar scan with grid_step_deg degrees.
 
-    Returns the grid directions; the detection probabilities of each grid
-    angle per role (a, a', b, b'), resolved through spin_label; the
-    correlation matrix E[i, j] = E(angle i, angle j); and the lazy
-    _scan_slabs iterator, holding one slab of at most max(_SLAB_ROWS,
-    n**2) rows at a time.  Every input check runs before this returns.
+    Returns the grid angles k * step in degrees, as floats; the detection
+    probabilities of each grid angle per role (a, a', b, b'), resolved
+    through spin_label; the correlation matrix E[i, j] = E(angle i, angle j);
+    and the lazy _scan_slabs iterator, holding one slab of at most
+    max(_SLAB_ROWS, n**2) rows at a time.  Every input check runs before
+    this returns.
     """
-    components = plane_components(_grid_angles_deg(grid_step_deg))
+    angles = _grid_angles_deg(grid_step_deg)
+    components = plane_components(angles)
     corr = _correlations(_plane_block(state), components, components)
     outside = np.abs(corr) > 1.0 + 1e-9
     if outside.any():
         raise InputValidationError(f"correlation {float(corr[outside][0])!r} lies outside [-1, 1]")
     directions = [Direction(x, 0.0, z) for x, z in components.tolist()]
     probs = _role_probabilities(det, state.label, [directions] * 4)
-    return directions, probs, corr, _scan_slabs(corr, probs)
+    return angles.tolist(), probs, corr, _scan_slabs(corr, probs)
 
 
 def _scan_slabs(corr: np.ndarray, probs: Sequence[Sequence[float]]) -> Iterator[tuple]:
@@ -379,7 +381,8 @@ def angle_scan(
     ConfigurationError naming the role.
     """
     step_deg = float(f"{math.degrees(grid_step):.12g}")
-    directions, (pa, pap, pb, pbp), corr, slabs = _scan_grid(state, det, step_deg)
+    angles, (pa, pap, pb, pbp), corr, slabs = _scan_grid(state, det, step_deg)
+    directions = [Direction(x, 0.0, z) for x, z in plane_components(angles).tolist()]
     e = corr.tolist()
     grid = range(len(directions))
     for ia, aps, *columns in slabs:

@@ -336,9 +336,9 @@ def _scan_csv(scan: tuple) -> Iterator[str]:
     def cells(texts: list[str]) -> np.ndarray:  # NUL-padded to the longest
         return np.array([text.encode("ascii") for text in texts])
 
-    directions, probs, _, slabs = scan
-    n = len(directions)
-    angle = cells([_fmt(d.plane_angle_deg()) + "," for d in directions])
+    angles, probs, _, slabs = scan
+    n = len(angles)
+    angle = cells([_fmt(a) + "," for a in angles])
     pa, pap, pb, pbp = (cells([_fmt(p) + "," for p in role]) for role in probs)
     flags = cells([f"{s},{m}\n" for s in ("false", "true") for m in ("false", "true")])
     formats = [angle.dtype] * 4 + [c.dtype for c in (pa, pap, pb, pbp)] + ["S8"] * 3
@@ -373,8 +373,8 @@ def _scan_text(scan: tuple) -> Iterator[str]:
     probability cells as json.dumps text made once per grid angle and the
     computed numbers as repr, json.dump's text for a finite float.
     """
-    directions, probs, _, slabs = scan
-    angles = [json.dumps(d.plane_angle_deg()) for d in directions]
+    angles, probs, _, slabs = scan
+    angles = [json.dumps(a) for a in angles]
     pa, pap, pb, pbp = ([json.dumps(p) for p in role] for role in probs)
     grid, flags = range(len(angles)), ("false", "true")
     lead = ""  # no ",\n" before the first row

@@ -611,16 +611,17 @@ class TestAngleScan:
 
     def test_radian_step_lays_the_cli_grid(self, capsys):
         """math.radians(30.0) gives the grid of the CLI's --grid-step 30:
-        exact directions, and every row equal to the CLI's JSON row."""
+        exact directions, and every row equal to the CLI's JSON row, whose
+        angle cells are the grid's k * 30 degrees."""
         reports = list(angle_scan(singlet_state(), DetectionModel.uniform(1.0), math.radians(30.0)))
         assert reports[3 * 12**3].setting.a == Direction(1.0, 0.0, 0.0)
         assert main(["scan", "--grid-step", "30", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert len(rows) == len(reports) == 12**4
-        for report, row in zip(reports, rows):
-            angles = report.setting.plane_angles_deg()
+        grid = [k * 30.0 for k in range(12)]
+        for indices, report, row in zip(product(range(12), repeat=4), reports, rows):
             assert list(row.values()) == [
-                *angles, *report.detection_probs, report.standard_lhs, report.modified_lhs,
+                *(grid[i] for i in indices), *report.detection_probs, report.standard_lhs, report.modified_lhs,
                 report.bound, report.standard_violated, report.modified_violated,
             ]
 
@@ -667,8 +668,8 @@ class TestScanSlabs:
         entries[("mixed", spin_label(Direction.from_plane_degrees(45.0), 1))] = 0.5
         entries[("mixed", spin_label(Direction.from_plane_degrees(90.0), 2))] = 0.7
         det = DetectionModel(entries=entries, apparatus_factor=0.97)
-        directions, probs, corr, slabs = chsh._scan_grid(state, det, 45.0)
-        n = len(directions)
+        angles, probs, corr, slabs = chsh._scan_grid(state, det, 45.0)
+        n = len(angles)
         reference = reference_scan_blocks(corr, probs)
         runs = []
         for ia, aps, *columns in slabs:

@@ -284,6 +284,16 @@ class TestScan:
             assert row["modified_lhs"] == pytest.approx(report.modified_lhs, abs=1e-12)
             assert row["bound"] == pytest.approx(report.bound, abs=1e-12)
 
+    @pytest.mark.parametrize("step", [30.0, 33.0, 50.0, 80.0])
+    def test_json_angle_cells_are_the_grid_angles(self, capsys, step):
+        """Every angle cell is some k * step as laid, not an angle read back
+        from its direction, which can differ in the last digit."""
+        code, out, _ = run_cli(capsys, "scan", "--grid-step", str(step), "--format", "json")
+        assert code == 0
+        grid = {k * step for k in range(int(360.0 // step))}
+        for row in json.loads(out)["rows"]:
+            assert {row[column] for column in SCAN_COLUMNS[:4]} <= grid, row
+
     def test_json_text_is_what_json_dump_writes(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--grid-step", "45", "--format", "json",

@@ -59,7 +59,7 @@ GOLDEN_DIGESTS = {
     ),
     "scan-30.json": (
         ["scan", "--grid-step", "30", "--format", "json"],
-        "98039fda562b34175051fa8310aa2e382afd1e1a279deda20317a448b9502be2",
+        "22a722bff8d92865842f583199b59e498a50bdb54e5f2c8d3304aed91b60baf2",
     ),
     "scan-13-odd-detection.csv": (
         ["scan", "--grid-step", "13", "--detection", "0.3333,0.9999,0.123456789,1"],
@@ -72,7 +72,7 @@ GOLDEN_DIGESTS = {
     "scan-33-odd-detection.json": (
         ["scan", "--grid-step", "33", "--format", "json",
          "--detection", "0.3333,0.9999,0.123456789,1", "--apparatus-factor", "0.5"],
-        "ad4b18a8f98b1c0c3d6a1173351547e43ec36995beea474b5bd6893c58af2930",
+        "012086d34c7815dea899bf138f0b2e2fbe587f411df3fddd31b407a9b557dfa3",
     ),
 }
 
