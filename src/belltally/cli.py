@@ -5,10 +5,11 @@ precision, schema_version 1); diagnostics go to stderr.  bound, simulate and
 sequential write through one emitter; scan streams its rows one slab of at
 most max(chsh._SLAB_ROWS, n**2) rows at a time, as NUL-padded CSV records
 or as one JSON f-string per row.  CSV number cells are byte-identical to
-Python's '%.6f', correctly rounded with ties to even.  argparse only
-collects strings, and a flag value is converted and checked like the same
-value in a config file.  Exit code 0 on success; 2 with one "error:" line
-for a bad value, or with argparse's usage for a malformed command line.
+Python's '%.6f', correctly rounded with ties to even.  The subcommands are
+built from one table.  argparse only collects strings, and a flag, whose
+dest is its config key, is converted and checked like that key's value in a
+config file.  Exit code 0 on success; 2 with one "error:" line for a bad
+value, or with argparse's usage for a malformed command line.
 """
 
 from __future__ import annotations
