@@ -20,11 +20,10 @@ _EXPORTS = {
     "detection": "DetectionModel GeneralizedObservable OutcomeDistribution"
     " generalized_correlation sequential_distribution_factored",
     "errors": "BelltallyError ConfigurationError InputValidationError ZeroProbabilityError",
-    "lhv": "ChshSimulation FairSamplingResult MicrostateEnsemble MicrostateModel"
-    " MixtureProbabilities SimulationSummary chsh_pairs constant_model fair_sampling_check"
-    " gisin_gisin_model mixture_probabilities random_microstate_model run_experiment"
-    " sample_hidden_uniform sign_model simulate_chsh summary_chsh",
-    "quantum": "X_AXIS Y_AXIS Z_AXIS DensityState Direction ProjectiveObservable"
+    "lhv": "ChshSimulation FairSamplingResult MicrostateModel SimulationSummary chsh_pairs"
+    " constant_model fair_sampling_check gisin_gisin_model random_microstate_model"
+    " run_experiment sample_hidden_uniform sign_model simulate_chsh summary_chsh",
+    "quantum": "X_AXIS Y_AXIS Z_AXIS DensityState Direction SpinObservable"
     " born_joint_probability born_probability observables_commute"
     " quantum_expectation_product singlet_state spin_label spin_observable",
 }

@@ -78,8 +78,15 @@ SCAN_COLUMNS = [
 ]
 
 
+def _float(value: Any) -> float:
+    # float() alone would turn true into 1.0.
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _optional_float(value: Any) -> float | None:
-    return None if value is None else float(value)
+    return None if value is None else _float(value)
 
 
 def _integer(value: Any) -> int:
@@ -90,7 +97,7 @@ def _integer(value: Any) -> int:
 
 
 # The converter of each config key that takes one; other values pass as given.
-_CONVERT = {"apparatus_factor": float, "trials": _integer, "seed": _integer, "format": str,
+_CONVERT = {"apparatus_factor": _float, "trials": _integer, "seed": _integer, "format": str,
             "grid_step": _optional_float, "model": str, "workers": _integer}
 
 
@@ -171,7 +178,7 @@ class ExperimentConfig:
 
 def _number(value: Any) -> float:
     try:
-        return float(value)
+        return _float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"cannot parse {value!r} as a number") from None
 
@@ -202,7 +209,7 @@ def _parse_angles(spec: Any) -> list[Direction]:
 
 
 def _parse_complex_entry(value: Any) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_number(value[0]), _number(value[1]))

@@ -18,8 +18,8 @@ The sequential two-measurement distribution takes the factored form, valid
 for spin observables on different subsystems: the second detection
 probability is taken as insensitive to the first outcome, and the
 pre-measurement state serves both margins.  Its conditional factors come
-from the state's Fano form (DensityState.fano) and the directions that
-spin_observable records; an observable without them is refused.
+from the state's Fano form (DensityState.fano) and each spin observable's
+direction; two observables on one subsystem are refused.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, InputValidationError
-from .quantum import ALGEBRA_TOL, DensityState, Direction, ProjectiveObservable
+from .quantum import ALGEBRA_TOL, DensityState, Direction, SpinObservable
 
 OutcomePair = tuple[float, float]
 
@@ -45,9 +45,9 @@ def _check_probability(value: float, what: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedObservable:
-    """Projective observable extended by a no-registration outcome."""
+    """Spin observable extended by a no-registration outcome."""
 
-    base: ProjectiveObservable
+    base: SpinObservable
     no_registration_outcome: float = 0.0
 
     def __post_init__(self) -> None:
@@ -170,11 +170,10 @@ def sequential_distribution_factored(
     P(s, t | both registered) = (1 + s a.r_A + t b.r_B + st a.T b) / 4,
     P(s) = (1 + s a.r_A) / 2 and P(t) = (1 + t b.r_B) / 2, and with obs_a on
     subsystem 2 the roles of r_A and r_B swap and T is transposed.
-    Observables that spin_observable did not make, or two on one subsystem,
-    raise InputValidationError.
+    Two observables on one subsystem raise InputValidationError.
     """
-    spin_a, spin_b = obs_a.base.spin, obs_b.base.spin
-    if spin_a is None or spin_b is None or spin_a[1] == spin_b[1]:
+    spin_a, spin_b = obs_a.base, obs_b.base
+    if spin_a.subsystem == spin_b.subsystem:
         raise InputValidationError(
             "the factored form requires spin observables on distinct subsystems; "
             f"got {obs_a.label!r} and {obs_b.label!r}"
@@ -182,8 +181,8 @@ def sequential_distribution_factored(
     detect_a = det.probability(state.label, obs_a.label, role="a")
     detect_b = det.probability(state.label, obs_b.label, role="b")
     # Rows of the Fano form index obs_a's subsystem, columns obs_b's.
-    fano = state.fano if spin_a[1] == 1 else state.fano.T
-    rows_a, rows_b = _spin_rows(obs_a, spin_a[0]), _spin_rows(obs_b, spin_b[0])
+    fano = state.fano if spin_a.subsystem == 1 else state.fano.T
+    rows_a, rows_b = _spin_rows(obs_a, spin_a.direction), _spin_rows(obs_b, spin_b.direction)
     joint = np.clip(rows_a @ fano @ rows_b.T / 4.0, 0.0, 1.0).ravel().tolist()
     margin_a = np.clip(rows_a @ fano[:, 0] / 2.0, 0.0, 1.0).tolist()
     margin_b = np.clip(fano[0] @ rows_b.T / 2.0, 0.0, 1.0).tolist()

@@ -62,7 +62,7 @@ import numpy as np
 
 from .chsh import ChshSetting, _combination
 from .errors import InputValidationError, ZeroProbabilityError
-from .quantum import ALGEBRA_TOL, Direction
+from .quantum import Direction
 
 CHUNK_SIZE = 1 << 16
 _BLOCK = 1 << 14  # rows per sampler call: buffers and temporaries stay in cache
@@ -231,56 +231,6 @@ def random_microstate_model(seed: int, name: str | None = None) -> MicrostateMod
         frame_a=rotations[0],
         frame_b=rotations[1],
     )
-
-
-@dataclass(frozen=True)
-class MicrostateEnsemble:
-    """Finite mixture of microstates for one outcome of one observable:
-    mixture weights, per-microstate detection probabilities, and 0/1
-    possession indicators."""
-
-    weights: tuple[float, ...]
-    micro_detect: tuple[float, ...]
-    micro_possess: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
-        detect = tuple(float(d) for d in self.micro_detect)
-        possess = tuple(float(p) for p in self.micro_possess)
-        if not len(weights) == len(detect) == len(possess) or len(weights) == 0:
-            raise InputValidationError("ensemble fields must share a positive length")
-        if any(w < 0.0 for w in weights):
-            raise InputValidationError("mixture weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > ALGEBRA_TOL:
-            raise InputValidationError(f"mixture weights sum to {sum(weights)!r}, expected 1")
-        if any(not 0.0 <= d <= 1.0 for d in detect):
-            raise InputValidationError("micro detection probabilities must lie in [0, 1]")
-        if any(p not in (0.0, 1.0) for p in possess):
-            raise InputValidationError("possession indicators must be 0 or 1")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "micro_detect", detect)
-        object.__setattr__(self, "micro_possess", possess)
-
-
-class MixtureProbabilities(NamedTuple):
-    absolute: float
-    detection: float
-    conditional: float
-
-
-def mixture_probabilities(ensemble: MicrostateEnsemble) -> MixtureProbabilities:
-    """Absolute, detection, and conditional probabilities of the ensemble's
-    outcome, satisfying absolute = detection x conditional."""
-    absolute = sum(
-        w * d * p
-        for w, d, p in zip(ensemble.weights, ensemble.micro_detect, ensemble.micro_possess)
-    )
-    detection = sum(w * d for w, d in zip(ensemble.weights, ensemble.micro_detect))
-    if detection <= 0.0:
-        raise ZeroProbabilityError(
-            "conditional probability is undefined: the ensemble never registers"
-        )
-    return MixtureProbabilities(absolute, detection, absolute / detection)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,9 +4,10 @@ Conventions
 -----------
 * Hilbert space: C^2 (x) C^2 with product basis ordered (++, +-, -+, --).
   Subsystem 1 is the left tensor factor, subsystem 2 the right.
-* A measurement direction is a unit vector in R^3; the spin observable along
-  direction ``a`` on subsystem 1 has projectors ((I + sigma.a)/2) (x) I and
-  ((I - sigma.a)/2) (x) I with outcomes +1 and -1.
+* A measurement direction is a unit vector in R^3.  A spin observable is a
+  (direction, subsystem) pair with outcomes +1 and -1; along direction ``a``
+  on subsystem 1 its projectors are ((I + sigma.a)/2) (x) I and
+  ((I - sigma.a)/2) (x) I, built only when something reads them.
 * States are density operators: Hermitian, unit trace, positive semidefinite
   up to a small numerical floor.
 * Every number the package reports depends on a state only through its
@@ -15,9 +16,9 @@ Conventions
   and r_B = F[0, 1:] and the correlation tensor T = F[1:, 1:].  It is
   computed once per state and cached as DensityState.fano.
 * born_probability, born_joint_probability and quantum_expectation_product
-  follow the Born rule Tr[rho P1 P2] over projectors, defined only for
-  commuting projector families.  No command uses them: they are the
-  projector route that the Fano form is tested against.
+  follow the Born rule Tr[rho P1 P2] over spin projectors, defined only for
+  commuting observables.  No command uses them: they are the projector
+  route that the Fano form is tested against.
 
 Algebraic identities are enforced at tolerance 1e-12; the positive
 semidefiniteness floor is -1e-10 on the smallest eigenvalue.
@@ -161,44 +162,32 @@ class DensityState:
         return fano
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveObservable:
-    """Observable given by real outcomes and an orthogonal, complete family of
-    projectors on the two-qubit space.  spin is the (direction, subsystem)
-    of a spin observable, set by spin_observable and None otherwise."""
+@dataclass(frozen=True)
+class SpinObservable:
+    """Spin component along ``direction`` on one subsystem, with outcomes
+    +1 and -1.  Its projectors are built on first read."""
 
-    outcomes: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
-    label: str
-    spin: tuple[Direction, int] | None = None
+    direction: Direction
+    subsystem: int
+    outcomes = (1.0, -1.0)
 
     def __post_init__(self) -> None:
-        outcomes = tuple(float(v) for v in self.outcomes)
-        if len(outcomes) == 0:
-            raise InputValidationError("observable needs at least one outcome")
-        if len(set(outcomes)) != len(outcomes):
-            raise InputValidationError(f"outcomes must be distinct, got {outcomes}")
-        if len(self.projectors) != len(outcomes):
-            raise InputValidationError("one projector required per outcome")
-        projectors = []
-        for proj in self.projectors:
-            mat = np.asarray(proj, dtype=complex)
-            if mat.shape != (4, 4):
-                raise InputValidationError(f"projector must be 4x4, got {mat.shape}")
-            if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_TOL:
-                raise InputValidationError("projector is not Hermitian")
-            if np.max(np.abs(mat @ mat - mat)) > ALGEBRA_TOL:
-                raise InputValidationError("projector is not idempotent")
-            projectors.append(mat)
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                if np.max(np.abs(projectors[i] @ projectors[j])) > ALGEBRA_TOL:
-                    raise InputValidationError("projectors are not pairwise orthogonal")
-        total = sum(projectors)
-        if np.max(np.abs(total - np.eye(4))) > ALGEBRA_TOL:
-            raise InputValidationError("projectors do not sum to the identity")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "projectors", tuple(_frozen_copy(p) for p in projectors))
+        if self.subsystem not in (1, 2):
+            raise InputValidationError(f"subsystem must be 1 or 2, got {self.subsystem!r}")
+
+    @property
+    def label(self) -> str:
+        return spin_label(self.direction, self.subsystem)
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only projectors onto the +1 and -1 outcomes."""
+        d = self.direction
+        pauli = d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z
+        halves = ((IDENTITY_2 + pauli) / 2.0, (IDENTITY_2 - pauli) / 2.0)
+        if self.subsystem == 1:
+            return tuple(_frozen_copy(np.kron(h, IDENTITY_2)) for h in halves)
+        return tuple(_frozen_copy(np.kron(IDENTITY_2, h)) for h in halves)
 
     def projector_for(self, outcome: float) -> np.ndarray:
         for value, proj in zip(self.outcomes, self.projectors):
@@ -220,28 +209,16 @@ def spin_label(direction: Direction, subsystem: int) -> str:
     return f"spin{subsystem}({direction.x:.6f},{direction.y:.6f},{direction.z:.6f})"
 
 
-def spin_observable(direction: Direction, subsystem: int) -> ProjectiveObservable:
+def spin_observable(direction: Direction, subsystem: int) -> SpinObservable:
     """Spin component along ``direction`` acting on one subsystem."""
-    if subsystem not in (1, 2):
-        raise InputValidationError(f"subsystem must be 1 or 2, got {subsystem!r}")
-    pauli = direction.x * SIGMA_X + direction.y * SIGMA_Y + direction.z * SIGMA_Z
-    plus = (IDENTITY_2 + pauli) / 2.0
-    minus = (IDENTITY_2 - pauli) / 2.0
-    if subsystem == 1:
-        projectors = (np.kron(plus, IDENTITY_2), np.kron(minus, IDENTITY_2))
-    else:
-        projectors = (np.kron(IDENTITY_2, plus), np.kron(IDENTITY_2, minus))
-    label = spin_label(direction, subsystem)
-    return ProjectiveObservable((1.0, -1.0), projectors, label, (direction, subsystem))
+    return SpinObservable(direction, subsystem)
 
 
-def observables_commute(
-    obs1: ProjectiveObservable, obs2: ProjectiveObservable, tol: float = ALGEBRA_TOL
-) -> bool:
+def observables_commute(obs1: SpinObservable, obs2: SpinObservable) -> bool:
     """Whether every projector of obs1 commutes with every projector of obs2."""
     for p in obs1.projectors:
         for q in obs2.projectors:
-            if np.max(np.abs(p @ q - q @ p)) > tol:
+            if np.max(np.abs(p @ q - q @ p)) > ALGEBRA_TOL:
                 return False
     return True
 
@@ -250,7 +227,7 @@ def _clamp_probability(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def born_probability(state: DensityState, observable: ProjectiveObservable, outcome: float) -> float:
+def born_probability(state: DensityState, observable: SpinObservable, outcome: float) -> float:
     """Tr[rho P_outcome], clamped to [0, 1]."""
     proj = observable.projector_for(outcome)
     return _clamp_probability(float(np.trace(state.matrix @ proj).real))
@@ -258,9 +235,9 @@ def born_probability(state: DensityState, observable: ProjectiveObservable, outc
 
 def born_joint_probability(
     state: DensityState,
-    obs1: ProjectiveObservable,
+    obs1: SpinObservable,
     outcome1: float,
-    obs2: ProjectiveObservable,
+    obs2: SpinObservable,
     outcome2: float,
 ) -> float:
     """Joint Born probability Tr[rho P1 P2] for compatible observables."""
@@ -275,7 +252,7 @@ def born_joint_probability(
 
 
 def quantum_expectation_product(
-    state: DensityState, obs1: ProjectiveObservable, obs2: ProjectiveObservable
+    state: DensityState, obs1: SpinObservable, obs2: SpinObservable
 ) -> float:
     """<O1 O2> = sum_np a_n b_p Tr[rho P_n Q_p] for compatible observables."""
     if not observables_commute(obs1, obs2):

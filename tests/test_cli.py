@@ -45,6 +45,10 @@ TSIRELSON_VECTORS = (
 )
 
 
+# Rows 2-4 of the maximally mixed state I/4.
+QUARTER_ROWS = ([0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25])
+
+
 def spin_keyed_detection():
     """Per-role detection with entries keyed by spin label for some grid
     angles, so that pd_a, pd_a' and pd_b vary along a 45-degree grid."""
@@ -815,3 +819,27 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "NaN" not in out
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["scan", "--grid-step", "90"], {"detection": True}),
+            (["scan", "--grid-step", "90"], {"detection": [0.9, True, 0.9, 0.9]}),
+            (["scan", "--grid-step", "90"], {"apparatus_factor": True}),
+            (["bound"], {"grid_step": True}),
+            (["bound"], {"angles": [True, 90, 45, 135]}),
+            (["bound"], {"angles": [[0, 0, 1], [1, 0, 0], [True, 0, 0], [0, 0, 1]]}),
+            (["scan", "--grid-step", "90"], {"state": [[0.25, False, 0, 0], *QUARTER_ROWS]}),
+            (["scan", "--grid-step", "90"], {"state": [[[0.25, False], 0, 0, 0], *QUARTER_ROWS]}),
+        ],
+        ids=[
+            "detection", "detection-list", "apparatus-factor", "grid-step",
+            "angle", "vector-component", "state-entry", "state-pair",
+        ],
+    )
+    def test_json_booleans_are_not_numbers(self, capsys, tmp_path, argv, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -16,7 +16,6 @@ from belltally import (
     GeneralizedObservable,
     InputValidationError,
     OutcomeDistribution,
-    ProjectiveObservable,
     X_AXIS,
     Z_AXIS,
     born_joint_probability,
@@ -131,6 +130,13 @@ class TestSequentialFactored:
                 det,
             )
 
+    def test_builds_no_projectors(self):
+        """The factored form reads each observable's direction only."""
+        obs_a, obs_b = spin_z1(), GeneralizedObservable(spin_observable(X_AXIS, 2))
+        sequential_distribution_factored(singlet_state(), obs_a, obs_b, DetectionModel.uniform(0.9))
+        assert "projectors" not in obs_a.base.__dict__
+        assert "projectors" not in obs_b.base.__dict__
+
     def test_fano_tables_match_the_born_route(self):
         """With detection 1 or 0 per side the table holds the Fano form's
         conditional probabilities unscaled; they equal the projector route's
@@ -230,18 +236,3 @@ class TestGeneralizedCorrelation:
                 GeneralizedObservable(spin_observable(X_AXIS, 1)),
                 DetectionModel.uniform(1.0),
             )
-
-
-def test_non_spin_observables_are_refused():
-    """The factored form reads the direction that spin_observable records;
-    a projector family without one, here the singlet filter, is refused."""
-    rho = singlet_state().matrix
-    singlet_filter = ProjectiveObservable((1.0, -1.0), (rho, np.eye(4) - rho), "singlet-filter")
-    pairs = [
-        (GeneralizedObservable(singlet_filter), GeneralizedObservable(spin_observable(X_AXIS, 2))),
-        (spin_z1(), GeneralizedObservable(singlet_filter)),
-    ]
-    for obs_a, obs_b in pairs:
-        for function in (sequential_distribution_factored, generalized_correlation):
-            with pytest.raises(InputValidationError, match="singlet-filter"):
-                function(singlet_state(), obs_a, obs_b, DetectionModel.uniform(1.0))

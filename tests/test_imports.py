@@ -41,14 +41,13 @@ EXPORTS = {
         "BelltallyError", "ConfigurationError", "InputValidationError", "ZeroProbabilityError",
     ),
     "lhv": (
-        "ChshSimulation", "FairSamplingResult", "MicrostateEnsemble", "MicrostateModel",
-        "MixtureProbabilities", "SimulationSummary", "chsh_pairs", "constant_model",
-        "fair_sampling_check", "gisin_gisin_model", "mixture_probabilities",
+        "ChshSimulation", "FairSamplingResult", "MicrostateModel", "SimulationSummary",
+        "chsh_pairs", "constant_model", "fair_sampling_check", "gisin_gisin_model",
         "random_microstate_model", "run_experiment", "sample_hidden_uniform", "sign_model",
         "simulate_chsh", "summary_chsh",
     ),
     "quantum": (
-        "X_AXIS", "Y_AXIS", "Z_AXIS", "DensityState", "Direction", "ProjectiveObservable",
+        "X_AXIS", "Y_AXIS", "Z_AXIS", "DensityState", "Direction", "SpinObservable",
         "born_joint_probability", "born_probability", "observables_commute",
         "quantum_expectation_product", "singlet_state", "spin_label", "spin_observable",
     ),

@@ -20,7 +20,6 @@ from belltally import (
     Direction,
     GeneralizedObservable,
     InputValidationError,
-    MicrostateEnsemble,
     MicrostateModel,
     SimulationSummary,
     X_AXIS,
@@ -31,7 +30,6 @@ from belltally import (
     fair_sampling_check,
     generalized_correlation,
     gisin_gisin_model,
-    mixture_probabilities,
     random_microstate_model,
     run_experiment,
     sample_hidden_uniform,
@@ -181,50 +179,6 @@ class TestSampler:
         axes, _, _ = sample_hidden_uniform(rng, 200000)
         # component means are 0 with sd 1/sqrt(3n)
         assert np.all(np.abs(axes.mean(axis=0)) < 0.006)
-
-
-class TestMixtureProbabilities:
-    def test_certain_detection(self):
-        result = mixture_probabilities(
-            MicrostateEnsemble((0.3, 0.7), (1.0, 1.0), (1.0, 0.0))
-        )
-        assert result == pytest.approx((0.3, 1.0, 0.3))
-
-    def test_mixed_detection(self):
-        """0.5 * 0.4 * 1 = 0.2 absolute over 0.6 detected is one third."""
-        result = mixture_probabilities(
-            MicrostateEnsemble((0.5, 0.5), (0.4, 0.8), (1.0, 0.0))
-        )
-        assert result.absolute == pytest.approx(0.2, abs=1e-12)
-        assert result.detection == pytest.approx(0.6, abs=1e-12)
-        assert result.conditional == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_product_identity_random_ensembles(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = rng.integers(1, 6)
-            weights = rng.uniform(0.1, 1.0, size=n)
-            weights /= weights.sum()
-            detect = rng.uniform(0.1, 1.0, size=n)
-            possess = rng.integers(0, 2, size=n).astype(float)
-            result = mixture_probabilities(
-                MicrostateEnsemble(tuple(weights), tuple(detect), tuple(possess))
-            )
-            assert result.absolute == pytest.approx(
-                result.detection * result.conditional, rel=1e-12, abs=1e-15
-            )
-
-    def test_never_registering_ensemble(self):
-        with pytest.raises(ZeroProbabilityError):
-            mixture_probabilities(MicrostateEnsemble((1.0,), (0.0,), (1.0,)))
-
-    def test_ensemble_validation(self):
-        with pytest.raises(InputValidationError):
-            MicrostateEnsemble((0.6, 0.6), (1.0, 1.0), (1.0, 0.0))
-        with pytest.raises(InputValidationError):
-            MicrostateEnsemble((0.5, 0.5), (1.0, 1.2), (1.0, 0.0))
-        with pytest.raises(InputValidationError):
-            MicrostateEnsemble((0.5, 0.5), (1.0, 1.0), (0.5, 0.5))
 
 
 class TestGisinGisinModel:

@@ -17,7 +17,7 @@ from belltally import (
     spin_label,
     spin_observable,
 )
-from belltally.quantum import DensityState, ProjectiveObservable, plane_components
+from belltally.quantum import DensityState, plane_components
 
 from conftest import random_density_state, random_direction
 
@@ -143,9 +143,15 @@ class TestFanoForm:
 class TestSpinObservable:
     def test_records_direction_and_subsystem(self):
         d = random_direction(np.random.default_rng(43))
-        assert spin_observable(d, 2).spin == (d, 2)
-        rho = singlet_state().matrix
-        assert ProjectiveObservable((1.0, 0.0), (rho, np.eye(4) - rho), "filter").spin is None
+        obs = spin_observable(d, 2)
+        assert (obs.direction, obs.subsystem) == (d, 2)
+
+    def test_projectors_cached_and_read_only(self):
+        obs = spin_observable(X_AXIS, 1)
+        born_probability(singlet_state(), obs, 1.0)
+        assert obs.projectors is obs.projectors
+        with pytest.raises(ValueError):
+            obs.projectors[0][0, 0] = 0.0
 
     def test_z_on_first_subsystem(self):
         obs = spin_observable(Z_AXIS, 1)
@@ -202,22 +208,6 @@ class TestDensityStateValidation:
         state = singlet_state()
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 1.0
-
-
-class TestProjectiveObservableValidation:
-    def test_rejects_duplicate_outcomes(self):
-        proj = spin_observable(Z_AXIS, 1).projectors
-        with pytest.raises(InputValidationError):
-            ProjectiveObservable((1.0, 1.0), proj, "dup")
-
-    def test_rejects_incomplete_family(self):
-        p_plus = spin_observable(Z_AXIS, 1).projector_for(1.0)
-        with pytest.raises(InputValidationError):
-            ProjectiveObservable((1.0,), (p_plus,), "half")
-
-    def test_rejects_non_idempotent(self):
-        with pytest.raises(InputValidationError):
-            ProjectiveObservable((1.0,), (np.eye(4) * 0.5,), "scaled")
 
 
 class TestBornProbability:
