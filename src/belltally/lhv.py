@@ -13,7 +13,7 @@ Reproducibility scheme
 ----------------------
 Trials are processed in fixed chunks of 65536.  Chunk ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed, spawn_key=(i,)))`` and every
-chunk evaluates all settings on its own sample, so tallies are pure
+chunk evaluates all settings on its own sample, so counts are pure
 per-chunk functions of (seed, chunk index).  Merging is integer addition in
 chunk order, with at most two chunks per worker in flight, which makes
 results bit-identical for any worker count and keeps memory bounded for
@@ -33,13 +33,17 @@ measuring along it maps to a 2-bit code per trial, 2 * detected +
 (a CHSH setting is one 2x2 rectangle, a ``run_experiment`` pair a 1x1 one),
 each counted per block by one bincount over its sides' joint code.  Each
 pair's 16 (A code, B code) cells are exact integer marginals of that count,
-and the 3x3 registered-outcome and 2x2 possession tallies are sums of them.
+and a run keeps nothing else: they are a ``SimulationSummary``'s one record.
 
 Statistics
 ----------
-``simulate_chsh`` is the one place where a CHSH run's reported metrics and
-their standard errors are made: the rows of ``ChshSimulation.rows``, which
-the command line prints as they are.
+A summary reads its cells through one vector, each side code's registered
+value (0, 0, -1, +1): correlations, the both-detected count, detection and
+fair-sampling frequencies are sums of integer-valued floats below 2**53,
+so exact in any order, and ``tallies`` (3x3 registered outcomes) derives
+from the same values.  ``simulate_chsh`` is the one place where a CHSH
+run's reported metrics and their standard errors are made: the rows of
+``ChshSimulation.rows``, which the command line prints as they are.
 
 The reference detection-loophole model (``gisin_gisin_model``) registers
 A = sign(a.lam) with probability |a.lam| and always registers
@@ -54,7 +58,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -87,12 +91,8 @@ SamplerFn = Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
 # Each worker thread's block-sized sampler buffers, reused by every block.
 _worker = threading.local()
 
-_OUTCOME_VALUES = np.array([-1.0, 0.0, 1.0])
-_PRODUCTS = np.outer(_OUTCOME_VALUES, _OUTCOME_VALUES)
-
-# Side code 2 * detected + positive -> registered outcome index into
-# _OUTCOME_VALUES: undetected codes register 0, detected ones their value.
-_CODE_TO_OUTCOME = np.array([[0, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.int64)
+# Registered value of each side code: 0 when undetected, else the possessed value.
+_CODE_VALUES = np.array([0.0, 0.0, -1.0, 1.0])
 
 
 def _sampler_buffers(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,45 +233,66 @@ def random_microstate_model(seed: int, name: str | None = None) -> MicrostateMod
     )
 
 
+class FairSamplingResult(NamedTuple):
+    """Possession frequency of the (+1, +1) pair over all trials, registered
+    frequency of that pair among doubly detected trials, and their gap."""
+
+    all_sample_freq: float
+    detected_freq: float
+    divergence: float
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationSummary:
-    """Registered-outcome tallies for one experiment.
+    """Code cells for one experiment, from which every statistic is read.
 
-    tallies[s, i, j] counts trials of setting s with A outcome (-1, 0, +1)[i]
-    and B outcome (-1, 0, +1)[j]; every trial evaluates every setting.
+    cells[s, i, j] counts trials of setting s with A side code i and B side
+    code j, a code being 2 * detected + (possessed value > 0); every trial
+    evaluates every setting.
     """
 
     n_trials: int
     settings: tuple[tuple[Direction, Direction], ...]
-    tallies: np.ndarray
+    cells: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
-        tallies = np.asarray(self.tallies, dtype=np.int64)
-        if tallies.shape != (len(self.settings), 3, 3):
+        cells = np.asarray(self.cells, dtype=np.int64)
+        if cells.shape != (len(self.settings), 4, 4):
             raise InputValidationError(
-                f"tallies must have shape {(len(self.settings), 3, 3)}, got {tallies.shape}"
+                f"cells must have shape {(len(self.settings), 4, 4)}, got {cells.shape}"
             )
-        if np.any(tallies < 0):
-            raise InputValidationError("tallies cannot be negative")
-        sums = tallies.sum(axis=(1, 2))
-        if np.any(sums != self.n_trials):
-            raise InputValidationError("each setting's tally must sum to n_trials")
+        if np.any(cells < 0):
+            raise InputValidationError("cells cannot be negative")
+        if np.any(cells.sum(axis=(1, 2)) != self.n_trials):
+            raise InputValidationError("each setting's cells must sum to n_trials")
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+
+    @cached_property
+    def tallies(self) -> np.ndarray:
+        """Read-only (settings, 3, 3) counts of A and B registered outcomes
+        (-1, 0, +1), summed from the cells by registered value."""
+        to_outcome = np.eye(3, dtype=np.int64)[_CODE_VALUES.astype(np.intp) + 1]
+        tallies = to_outcome.T @ self.cells @ to_outcome
         tallies.setflags(write=False)
-        object.__setattr__(self, "tallies", tallies)
+        return tallies
+
+    def _product_sum(self, index: int, power: int = 1) -> float:
+        # Sum of (A value * B value) ** power over the trials of one setting.
+        return float(_CODE_VALUES**power @ self.cells[index] @ _CODE_VALUES**power)
 
     def micro_correlation(self, index: int) -> float:
         """Mean product over all trials, no-registration outcomes counted as 0."""
-        return float((self.tallies[index] * _PRODUCTS).sum() / self.n_trials)
+        return self._product_sum(index) / self.n_trials
 
     def micro_correlation_se(self, index: int) -> float:
         mean = self.micro_correlation(index)
-        second = float((self.tallies[index] * _PRODUCTS**2).sum() / self.n_trials)
+        second = self._product_sum(index, 2) / self.n_trials
         return math.sqrt(max(0.0, second - mean * mean) / self.n_trials)
 
     def both_detected_count(self, index: int) -> int:
-        block = self.tallies[index][np.ix_((0, 2), (0, 2))]
-        return int(block.sum())
+        return int(self._product_sum(index, 2))
 
     def conditional_correlation(self, index: int) -> float:
         """Mean product over trials where both sides registered."""
@@ -280,7 +301,7 @@ class SimulationSummary:
             raise ZeroProbabilityError(
                 "conditional correlation is undefined: no doubly registered trials"
             )
-        return float((self.tallies[index] * _PRODUCTS).sum() / detected)
+        return self._product_sum(index) / detected
 
     def conditional_correlation_se(self, index: int) -> float:
         mean = self.conditional_correlation(index)  # raises when no trial registered twice
@@ -288,16 +309,26 @@ class SimulationSummary:
 
     def detection_frequency(self, index: int, side: str) -> float:
         """Fraction of trials with a registered outcome on side "a" or "b"."""
-        if side == "a":
-            registered = self.tallies[index][(0, 2), :].sum()
-        elif side == "b":
-            registered = self.tallies[index][:, (0, 2)].sum()
-        else:
+        if side not in ("a", "b"):
             raise InputValidationError(f"side must be 'a' or 'b', got {side!r}")
-        return float(registered / self.n_trials)
+        codes = self.cells[index].sum(axis=1 if side == "a" else 0)
+        return float(codes @ _CODE_VALUES**2 / self.n_trials)
 
     def detection_frequency_se(self, index: int, side: str) -> float:
         return _binomial_se(self.detection_frequency(index, side), self.n_trials)
+
+    def fair_sampling(self, index: int) -> FairSamplingResult:
+        """Frequency of the possessed (+1, +1) pair over all trials against
+        that of the registered one among doubly detected trials."""
+        both_detected = self.both_detected_count(index)
+        if both_detected == 0:
+            raise ZeroProbabilityError(
+                "detected-pair frequency is undefined: no doubly registered trials"
+            )
+        # Odd codes possess +1; code 3 registers it.
+        all_sample = float(self.cells[index, 1::2, 1::2].sum() / self.n_trials)
+        detected = float(self.cells[index, 3, 3] / both_detected)
+        return FairSamplingResult(all_sample, detected, abs(all_sample - detected))
 
 
 def _chunk_sizes(n_trials: int) -> Iterator[int]:
@@ -406,11 +437,6 @@ def _chunk_tallies(
     ])
 
 
-def _registered(cells: np.ndarray) -> np.ndarray:
-    """(pairs, 3, 3) registered-outcome tallies from (pairs, 4, 4) code cells."""
-    return _CODE_TO_OUTCOME.T @ cells @ _CODE_TO_OUTCOME
-
-
 def _whole_number(name: str, value: float, least: int) -> int:
     # int() alone would turn 2.5 into 2 and True into 1, and raise on nan or inf.
     try:
@@ -428,9 +454,9 @@ def _run_tallies(
     n_trials: int,
     seed: int,
     n_workers: int,
-) -> np.ndarray:
-    """(pairs, 4, 4) code cells over all trials, pairs in rectangle order; see
-    the module docstring."""
+) -> SimulationSummary:
+    """Summary of the code cells over all trials; its settings are the
+    rectangles' pairs, each taken row-major.  See the module docstring."""
     n_trials = _whole_number("n_trials", n_trials, 1)
     seed = _whole_number("seed", seed, 0)
     n_workers = _whole_number("n_workers", n_workers, 1)
@@ -446,7 +472,9 @@ def _run_tallies(
     # A worker beyond the usable CPUs would only hold one more chunk in memory.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_workers = min(n_workers, n_chunks, cpus or 1)
-    return _ordered_sum(chunk, enumerate(_chunk_sizes(n_trials)), n_workers)
+    cells = _ordered_sum(chunk, enumerate(_chunk_sizes(n_trials)), n_workers)
+    pairs = tuple((a, b) for side_a, side_b in rectangles for a in side_a for b in side_b)
+    return SimulationSummary(n_trials, pairs, cells, seed)
 
 
 def run_experiment(
@@ -456,24 +484,15 @@ def run_experiment(
     seed: int,
     n_workers: int = 1,
 ) -> SimulationSummary:
-    """Tally registered outcomes of a model over settings.
-
-    The result is bit-identical for any n_workers; see the module docstring
-    for the chunked substream scheme.
-    """
-    cells = _run_tallies(model, [((a,), (b,)) for a, b in settings], n_trials, seed, n_workers)
-    pairs = tuple((a, b) for a, b in settings)
-    return SimulationSummary(int(n_trials), pairs, _registered(cells), int(seed))
+    """Code cells of a model over settings, bit-identical for any n_workers;
+    see the module docstring for the chunked substream scheme."""
+    return _run_tallies(model, [((a,), (b,)) for a, b in settings], n_trials, seed, n_workers)
 
 
 def chsh_pairs(setting: ChshSetting) -> tuple[tuple[Direction, Direction], ...]:
-    """The four correlation pairs of a CHSH run, in tally order."""
-    return (
-        (setting.a, setting.b),
-        (setting.a, setting.b_prime),
-        (setting.a_prime, setting.b),
-        (setting.a_prime, setting.b_prime),
-    )
+    """The four correlation pairs of a CHSH run, in tally order: row-major
+    over (a, a_prime) x (b, b_prime), as a simulate_chsh run counts them."""
+    return tuple((a, b) for a in (setting.a, setting.a_prime) for b in (setting.b, setting.b_prime))
 
 
 def _binomial_se(freq: float, count: int) -> float:
@@ -499,28 +518,6 @@ def summary_chsh(summary: SimulationSummary, conditional: bool = False) -> tuple
     return _combination(*values), math.sqrt(sum(e * e for e in errors))
 
 
-class FairSamplingResult(NamedTuple):
-    """Possession frequency of the (+1, +1) pair over all trials, registered
-    frequency of that pair among doubly detected trials, and their gap."""
-
-    all_sample_freq: float
-    detected_freq: float
-    divergence: float
-
-
-def _fair_sampling(cells: np.ndarray, n_trials: int) -> FairSamplingResult:
-    """Fair-sampling frequencies of one pair's 4x4 code cells."""
-    # Codes 1 and 3 possess +1; codes 2 and 3 are detected.
-    both_detected = int(cells[2:, 2:].sum())
-    if both_detected == 0:
-        raise ZeroProbabilityError(
-            "detected-pair frequency is undefined: no doubly registered trials"
-        )
-    all_sample = float(cells[1::2, 1::2].sum() / n_trials)
-    detected = float(cells[3, 3] / both_detected)
-    return FairSamplingResult(all_sample, detected, abs(all_sample - detected))
-
-
 def fair_sampling_check(
     model: MicrostateModel,
     a: Direction,
@@ -530,19 +527,16 @@ def fair_sampling_check(
     n_workers: int = 1,
 ) -> FairSamplingResult:
     """Compare the (+1, +1) frequency over all trials with its frequency
-    conditioned on double detection.
-
-    A nonzero divergence is the signature of unfair sampling: the detected
-    subensemble misrepresents the full one.
-    """
-    cells = _run_tallies(model, [((a,), (b,))], n_trials, seed, n_workers)
-    return _fair_sampling(cells[0], n_trials)
+    conditioned on double detection.  A nonzero divergence is the signature
+    of unfair sampling: the detected subensemble misrepresents the full one."""
+    return run_experiment(model, [(a, b)], n_trials, seed, n_workers).fair_sampling(0)
 
 
 @dataclass(frozen=True, eq=False)
 class ChshSimulation:
-    """One CHSH Monte Carlo run: its tallies, every reported (metric, pair,
-    value, std_error) row, and the three CHSH rows' values and errors."""
+    """One CHSH Monte Carlo run: its summary, whose cells hold every count,
+    every reported (metric, pair, value, std_error) row made from them, and
+    the three CHSH rows' values and errors."""
 
     setting: ChshSetting
     summary: SimulationSummary
@@ -571,20 +565,20 @@ def simulate_chsh(
     all-trials combination whenever the two sides' detections are independent.
     """
     rectangle = ((setting.a, setting.a_prime), (setting.b, setting.b_prime))
-    cells = _run_tallies(model, [rectangle], n_trials, seed, n_workers)
-    summary = SimulationSummary(int(n_trials), chsh_pairs(setting), _registered(cells), int(seed))
+    summary = _run_tallies(model, [rectangle], n_trials, seed, n_workers)
+    n = summary.n_trials
     micro, cond = _correlations(summary, False), _correlations(summary, True)
     freq_a, freq_b = ([summary.detection_frequency(i, side) for i in range(4)] for side in "ab")
-    fair = [_fair_sampling(c, n_trials) for c in cells]
-    all_se = [_binomial_se(f.all_sample_freq, n_trials) for f in fair]
+    fair = [summary.fair_sampling(i) for i in range(4)]
+    all_se = [_binomial_se(f.all_sample_freq, n) for f in fair]
     det_se = [
         _binomial_se(f.detected_freq, summary.both_detected_count(i)) for i, f in enumerate(fair)
     ]
     per_pair = {
         "micro_correlation": micro,
         "conditional_correlation": cond,
-        "detection_frequency_a": [(f, _binomial_se(f, n_trials)) for f in freq_a],
-        "detection_frequency_b": [(f, _binomial_se(f, n_trials)) for f in freq_b],
+        "detection_frequency_a": [(f, _binomial_se(f, n)) for f in freq_a],
+        "detection_frequency_b": [(f, _binomial_se(f, n)) for f in freq_b],
         "all_sample_pair_frequency": [(f.all_sample_freq, e) for f, e in zip(fair, all_se)],
         "detected_pair_frequency": [(f.detected_freq, e) for f, e in zip(fair, det_se)],
         "fair_sampling_divergence": [
@@ -597,7 +591,7 @@ def simulate_chsh(
     (pa, _, pap, _), (pb, pbp, _, _) = freq_a, freq_b
     (c1, se1), (c2, se2), (c3, se3), (c4, se4) = cond
     predicted = _combination(c1, c2, c3, c4, (pa, pap, pb, pbp))
-    se_pa, se_pap, se_pb, se_pbp = (_binomial_se(p, 2 * n_trials) for p in (pa, pap, pb, pbp))
+    se_pa, se_pap, se_pb, se_pbp = (_binomial_se(p, 2 * n) for p in (pa, pap, pb, pbp))
     predicted_error = math.sqrt(
         (pa * pb * se1) ** 2
         + (pa * pbp * se2) ** 2

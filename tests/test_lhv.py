@@ -338,14 +338,14 @@ class TestRunExperiment:
             SimulationSummary(
                 n_trials=10,
                 settings=((Z_AXIS, Z_AXIS),),
-                tallies=np.zeros((1, 3, 3), dtype=np.int64),
+                cells=np.zeros((1, 4, 4), dtype=np.int64),
                 seed=0,
             )
         with pytest.raises(InputValidationError):
             SimulationSummary(
                 n_trials=10,
                 settings=((Z_AXIS, Z_AXIS),),
-                tallies=np.zeros((2, 2), dtype=np.int64),
+                cells=np.zeros((2, 2), dtype=np.int64),
                 seed=0,
             )
 
@@ -357,6 +357,119 @@ class TestRunExperiment:
         summary = run_experiment(model, [(Z_AXIS, Z_AXIS)], 100, 1)
         with pytest.raises(ZeroProbabilityError):
             summary.conditional_correlation(0)
+
+
+# One setting's hand-built code cells, code = 2 * detected + positive: codes
+# 0 and 1 register 0, code 2 registers -1 and code 3 registers +1.
+HAND_CELLS = np.array([
+    [5, 1, 2, 0],
+    [3, 4, 0, 6],
+    [7, 0, 10, 2],
+    [1, 8, 3, 20],
+])
+HAND_N = 72
+
+
+def _hand_summary(*blocks):
+    blocks = blocks or (HAND_CELLS,)
+    return SimulationSummary(
+        int(blocks[0].sum()), ((Z_AXIS, X_AXIS),) * len(blocks), np.stack(blocks), 0
+    )
+
+
+class TestSummaryFromCells:
+    """Every statistic of a summary against closed forms of hand-built cells.
+
+    In HAND_CELLS, 35 trials register on both sides (10 + 2 + 3 + 20), their
+    product sum is 10 - 2 - 3 + 20 = 25, 51 trials register on A (rows 2
+    and 3) and 43 on B (columns 2 and 3), and 38 possess (+1, +1) (the
+    odd-odd cells 4 + 6 + 8 + 20), of which 20 register it."""
+
+    def test_correlations(self):
+        summary = _hand_summary()
+        assert summary.n_trials == HAND_N
+        assert summary.micro_correlation(0) == 25 / 72
+        assert summary.micro_correlation_se(0) == pytest.approx(
+            math.sqrt((35 / 72 - (25 / 72) ** 2) / 72), rel=1e-14
+        )
+        assert summary.both_detected_count(0) == 35
+        assert type(summary.both_detected_count(0)) is int
+        assert summary.conditional_correlation(0) == 25 / 35
+        assert summary.conditional_correlation_se(0) == pytest.approx(
+            math.sqrt((1.0 - (25 / 35) ** 2) / 35), rel=1e-14
+        )
+
+    def test_detection_frequencies(self):
+        summary = _hand_summary()
+        assert summary.detection_frequency(0, "a") == 51 / 72
+        assert summary.detection_frequency(0, "b") == 43 / 72
+        assert summary.detection_frequency_se(0, "a") == pytest.approx(
+            math.sqrt(51 / 72 * 21 / 72 / 72), rel=1e-14
+        )
+        with pytest.raises(InputValidationError, match="side"):
+            summary.detection_frequency(0, "c")
+
+    def test_fair_sampling(self):
+        result = _hand_summary().fair_sampling(0)
+        assert result.all_sample_freq == 38 / 72
+        assert result.detected_freq == 20 / 35
+        assert result.divergence == abs(38 / 72 - 20 / 35)
+
+    def test_tallies_sum_cells_by_registered_outcome(self):
+        summary = _hand_summary()
+        # rows: A registers -1 (code 2), 0 (codes 0 and 1), +1 (code 3); columns alike for B
+        expected = [[10, 7 + 0, 2], [2 + 0, 5 + 1 + 3 + 4, 0 + 6], [3, 1 + 8, 20]]
+        np.testing.assert_array_equal(summary.tallies, [expected])
+        assert summary.tallies.dtype == np.int64
+        assert summary.tallies is summary.tallies
+
+    def test_cells_and_tallies_are_read_only(self):
+        summary = _hand_summary()
+        for counts in (summary.cells, summary.tallies):
+            with pytest.raises(ValueError, match="read-only"):
+                counts[0, 0, 0] = 1
+
+    def test_each_setting_reads_its_own_cells(self):
+        """The B-A transpose of the cells swaps the sides' statistics."""
+        summary = _hand_summary(HAND_CELLS, HAND_CELLS.T)
+        assert summary.micro_correlation(1) == summary.micro_correlation(0)
+        assert summary.detection_frequency(1, "a") == 43 / 72
+        assert summary.detection_frequency(1, "b") == 51 / 72
+        assert summary.fair_sampling(1) == summary.fair_sampling(0)
+        np.testing.assert_array_equal(summary.tallies[1], summary.tallies[0].T)
+
+    def test_constant_summary_is_certain(self):
+        cells = np.zeros((4, 4), dtype=np.int64)
+        cells[3, 3] = 1000
+        summary = _hand_summary(cells)
+        assert (summary.micro_correlation(0), summary.micro_correlation_se(0)) == (1.0, 0.0)
+        assert (summary.conditional_correlation(0), summary.conditional_correlation_se(0)) == (
+            1.0, 0.0
+        )
+        assert summary.fair_sampling(0) == (1.0, 1.0, 0.0)
+        run = run_experiment(constant_model(), [(Z_AXIS, X_AXIS)], 1000, 10)
+        np.testing.assert_array_equal(run.cells, summary.cells)
+
+    def test_no_double_detection_raises(self):
+        """A never registers: codes 0 and 1 on its side only."""
+        cells = np.zeros((4, 4), dtype=np.int64)
+        cells[0, 2], cells[1, 3], cells[1, 1] = 3, 4, 5
+        summary = _hand_summary(cells)
+        assert summary.micro_correlation(0) == 0.0
+        assert summary.detection_frequency(0, "a") == 0.0
+        assert summary.detection_frequency(0, "b") == 7 / 12
+        for statistic in (
+            summary.conditional_correlation, summary.conditional_correlation_se,
+            summary.fair_sampling,
+        ):
+            with pytest.raises(ZeroProbabilityError):
+                statistic(0)
+
+    def test_negative_cells_are_refused(self):
+        cells = HAND_CELLS.copy()
+        cells[0, 0], cells[0, 1] = -1, 7
+        with pytest.raises(InputValidationError, match="negative"):
+            _hand_summary(cells)
 
 
 def _reference_tallies(model, settings, size, seed, chunk_index):
@@ -473,7 +586,8 @@ class TestChunkTallies:
         np.testing.assert_array_equal(cells, full)
         registered, possession = _reference_tallies(factory(), settings, size, 5, 3)
         assert cells.shape == (len(settings), 4, 4)
-        np.testing.assert_array_equal(lhv._registered(cells), registered)
+        summary = SimulationSummary(size, tuple(settings), cells, 5)
+        np.testing.assert_array_equal(summary.tallies, registered)
         # code = 2 * detected + positive, so axes 2 and 4 are the possessed signs
         np.testing.assert_array_equal(cells.reshape(-1, 2, 2, 2, 2).sum(axis=(1, 3)), possession)
         assert cells.sum() == len(settings) * size
@@ -626,6 +740,13 @@ class TestFairSampling:
             fair_sampling_check(model, Z_AXIS, Z_AXIS, 100, 1)
 
 
+def _b_misses_model():
+    """gisin-gisin with B registering when u_b < 0.7, independently of lam."""
+    return dataclasses.replace(
+        gisin_gisin_model(), name="b-misses", detect_b=lambda alignment, u: u < 0.7
+    )
+
+
 class TestSimulateChsh:
     def test_tsirelson_statistics(self):
         sim = simulate_chsh(gisin_gisin_model(), ChshSetting.tsirelson(), 200000, 51)
@@ -647,12 +768,22 @@ class TestSimulateChsh:
         the micro CHSH count for count.  Here B registers when u_b < 0.7,
         independently of lam, so the prediction is an estimate of its own,
         and the two sides' detections are still independent."""
-        model = dataclasses.replace(
-            gisin_gisin_model(), name="b-misses", detect_b=lambda alignment, u: u < 0.7
-        )
-        sim = simulate_chsh(model, ChshSetting.tsirelson(), 200000, seed)
+        sim = simulate_chsh(_b_misses_model(), ChshSetting.tsirelson(), 200000, seed)
         gap = abs(sim.weighted_chsh_predicted - sim.micro_chsh)
         assert 0.0 < gap <= 4.0 * (sim.weighted_chsh_predicted_error + sim.micro_chsh_error)
+
+    @pytest.mark.parametrize("factory", [gisin_gisin_model, _b_misses_model])
+    def test_fair_sampling_check_equals_the_ab_rows(self, factory):
+        """One pair run alone and the ab pair of a CHSH run read the same
+        cells, so their fair-sampling values agree bit for bit."""
+        setting = ChshSetting.tsirelson()
+        result = fair_sampling_check(factory(), setting.a, setting.b, 70000, 7)
+        sim = simulate_chsh(factory(), setting, 70000, 7)
+        rows = {metric: value for metric, pair, value, _ in sim.rows if pair == "ab"}
+        assert rows["all_sample_pair_frequency"] == result.all_sample_freq
+        assert rows["detected_pair_frequency"] == result.detected_freq
+        assert rows["fair_sampling_divergence"] == result.divergence
+        assert sim.summary.settings == chsh_pairs(setting)
 
     def test_fields_match_summary(self):
         sim = simulate_chsh(gisin_gisin_model(), ChshSetting.tsirelson(), 30000, 52)
