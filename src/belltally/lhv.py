@@ -586,12 +586,12 @@ def simulate_chsh(
         ],
     }
 
-    # Both pairs a role enters count the same trials along its direction,
-    # so they share one frequency; its error still divides by 2n.
+    # Both pairs a role enters count the same n trials along its direction,
+    # so they share one frequency, whose error divides by n.
     (pa, _, pap, _), (pb, pbp, _, _) = freq_a, freq_b
     (c1, se1), (c2, se2), (c3, se3), (c4, se4) = cond
     predicted = _combination(c1, c2, c3, c4, (pa, pap, pb, pbp))
-    se_pa, se_pap, se_pb, se_pbp = (_binomial_se(p, 2 * n) for p in (pa, pap, pb, pbp))
+    se_pa, se_pap, se_pb, se_pbp = (_binomial_se(p, n) for p in (pa, pap, pb, pbp))
     predicted_error = math.sqrt(
         (pa * pb * se1) ** 2
         + (pa * pbp * se2) ** 2

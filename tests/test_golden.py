@@ -84,7 +84,7 @@ GOLDEN_DIGESTS = {
 SIMULATE_DIGESTS = {
     "simulate-gisin-gisin-1e6.json": (
         ["simulate", "--format", "json", "--trials", "1000000"],
-        "7c4cece03590e4db0e0c83f20ad388cc4be89b368eff29d92d822a1dbce3e170",
+        "2e7904037973d51da2a05f215657ba1924e53de4de4fbcdf316312bcfef918d4",
     ),
     "simulate-sign-plane.json": (
         ["simulate", "--format", "json", "--model", "sign", "--angles", "10,100,55,145",
@@ -94,7 +94,7 @@ SIMULATE_DIGESTS = {
     "simulate-out-of-plane.json": (
         ["simulate", "--format", "json", "--angles", "0,0,1;1,0,0;0.6,0.8,0;0,0.6,0.8",
          "--trials", "300000"],
-        "a7613c36f3297d98a60291080f45db9315392d769a2be1706118a48fb69695ee",
+        "1698ef78e4465d91241c9af34a477c14e875a538c63d80a33380f28f4878fa82",
     ),
     "simulate-constant.json": (
         ["simulate", "--format", "json", "--model", "constant", "--trials", "200000"],

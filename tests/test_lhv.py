@@ -785,6 +785,26 @@ class TestSimulateChsh:
         assert rows["fair_sampling_divergence"] == result.divergence
         assert sim.summary.settings == chsh_pairs(setting)
 
+    def test_role_frequency_errors_divide_by_n(self):
+        """Both pairs a role enters count the same n trials, so the
+        prediction propagates each role's detection_frequency_se."""
+        sim = simulate_chsh(_b_misses_model(), ChshSetting.tsirelson(), 50000, 5)
+        summary = sim.summary
+        role = [(0, "a"), (2, "a"), (0, "b"), (1, "b")]  # a, a', b, b'
+        pa, pap, pb, pbp = (summary.detection_frequency(i, side) for i, side in role)
+        se_pa, se_pap, se_pb, se_pbp = (summary.detection_frequency_se(i, side) for i, side in role)
+        assert se_pb == math.sqrt(pb * (1.0 - pb) / 50000) > 0.0
+        c1, c2, c3, c4 = (summary.conditional_correlation(i) for i in range(4))
+        s1, s2, s3, s4 = (summary.conditional_correlation_se(i) for i in range(4))
+        expected = math.sqrt(
+            (pa * pb * s1) ** 2 + (pa * pbp * s2) ** 2 + (pap * pb * s3) ** 2
+            + (pap * pbp * s4) ** 2 + ((pb * c1 - pbp * c2) * se_pa) ** 2
+            + ((pb * c3 + pbp * c4) * se_pap) ** 2
+            + ((abs(pa * c1) + abs(pap * c3)) * se_pb) ** 2
+            + ((abs(pa * c2) + abs(pap * c4)) * se_pbp) ** 2
+        )
+        assert sim.weighted_chsh_predicted_error == pytest.approx(expected, rel=1e-12)
+
     def test_fields_match_summary(self):
         sim = simulate_chsh(gisin_gisin_model(), ChshSetting.tsirelson(), 30000, 52)
         rows = {(metric, pair): (value, error) for metric, pair, value, error in sim.rows}
