@@ -257,6 +257,7 @@ class SimulationSummary:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_trials", _whole_number("n_trials", self.n_trials, 1))
         cells = np.asarray(self.cells, dtype=np.int64)
         if cells.shape != (len(self.settings), 4, 4):
             raise InputValidationError(

@@ -465,6 +465,12 @@ class TestSummaryFromCells:
             with pytest.raises(ZeroProbabilityError):
                 statistic(0)
 
+    @pytest.mark.parametrize("n_trials", [0, 2.5, True])
+    def test_trial_count_is_a_positive_integer(self, n_trials):
+        """An empty summary would divide every statistic by zero."""
+        with pytest.raises(InputValidationError, match="n_trials"):
+            SimulationSummary(n_trials, ((Z_AXIS, X_AXIS),), np.zeros((1, 4, 4)), 0)
+
     def test_negative_cells_are_refused(self):
         cells = HAND_CELLS.copy()
         cells[0, 0], cells[0, 1] = -1, 7
