@@ -312,8 +312,8 @@ class SimulationSummary:
         """Fraction of trials with a registered outcome on side "a" or "b"."""
         if side not in ("a", "b"):
             raise InputValidationError(f"side must be 'a' or 'b', got {side!r}")
-        codes = self.cells[index].sum(axis=1 if side == "a" else 0)
-        return float(codes @ _CODE_VALUES**2 / self.n_trials)
+        per_code = self.cells[index].sum(axis=1 if side == "a" else 0)
+        return float(per_code @ _CODE_VALUES**2 / self.n_trials)
 
     def detection_frequency_se(self, index: int, side: str) -> float:
         return _binomial_se(self.detection_frequency(index, side), self.n_trials)
