@@ -59,6 +59,8 @@ _SLAB_ROWS = 1 << 13
 
 # Role and subsystem of each setting direction, in the order a, a', b, b'.
 _ROLES = (("a", 1), ("a_prime", 1), ("b", 2), ("b_prime", 2))
+# The tsirelson preset's x-z plane angles in degrees, in the same order.
+_TSIRELSON_DEG = (0.0, 90.0, 45.0, 135.0)
 
 
 @dataclass(frozen=True)
@@ -78,19 +80,11 @@ class ChshSetting:
 
     @classmethod
     def tsirelson(cls) -> "ChshSetting":
-        """Coplanar angles 0, 90, 45, 135 degrees: the maximally violating preset."""
-        return cls.from_plane_angles(0.0, 90.0, 45.0, 135.0)
+        """The maximally violating preset, at the coplanar angles _TSIRELSON_DEG."""
+        return cls.from_plane_angles(*_TSIRELSON_DEG)
 
     def directions(self) -> tuple[Direction, Direction, Direction, Direction]:
         return (self.a, self.a_prime, self.b, self.b_prime)
-
-    def plane_angles_deg(self) -> tuple[float, float, float, float] | None:
-        """The four in-plane angles in degrees, or None if any direction is
-        out of the x-z plane."""
-        angles = tuple(d.plane_angle_deg() for d in self.directions())
-        if any(v is None for v in angles):
-            return None
-        return angles  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

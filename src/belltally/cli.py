@@ -30,6 +30,7 @@ import numpy as np
 from .chsh import (
     ChshSetting,
     _ROLES,
+    _TSIRELSON_DEG,
     _scan_grid,
     angle_scan,  # noqa: F401
     detection_bound,
@@ -130,10 +131,6 @@ class ExperimentConfig:
             raise InputValidationError(f"workers must be positive, got {self.workers!r}")
         if self.seed < 0:
             raise InputValidationError(f"seed must be nonnegative, got {self.seed!r}")
-        if self.grid_step is not None and not 0.0 < self.grid_step <= 90.0:
-            raise InputValidationError(
-                f"grid step must lie in (0, 90] degrees, got {self.grid_step!r}"
-            )
 
     def resolve_state(self) -> DensityState:
         spec = self.state
@@ -144,18 +141,18 @@ class ExperimentConfig:
         matrix = _parse_complex_matrix(spec)
         return DensityState(matrix, "custom")
 
-    def resolve_directions(self, count: int) -> list[Direction]:
+    def resolve_directions(self, count: int) -> tuple[list[Direction], list[float] | None]:
+        """The count directions of the angle spec and _parse_angles' degrees.
+        Two directions of the tsirelson preset are its first pair (a, b)."""
         spec = self.angles
-        if isinstance(spec, str) and spec == "tsirelson":
-            # Two directions are the preset's first correlation pair (a, b).
-            directions = ChshSetting.tsirelson().directions()
-            return list(directions if count == 4 else directions[::2])
-        values = _parse_angles(spec)
-        if len(values) != count:
+        if spec == "tsirelson":
+            spec = _TSIRELSON_DEG if count == 4 else _TSIRELSON_DEG[::2]
+        directions, degrees = _parse_angles(spec)
+        if len(directions) != count:
             raise ConfigurationError(
-                f"angle spec must provide {count} directions, got {len(values)}"
+                f"angle spec must provide {count} directions, got {len(directions)}"
             )
-        return values
+        return directions, degrees
 
     def resolve_detection(self, state_label: str, roles: Sequence[str]) -> DetectionModel:
         spec = self.detection
@@ -190,7 +187,8 @@ def _parse_number_list(text: str) -> list[float]:
         raise ConfigurationError(f"cannot parse {text!r} as numbers") from exc
 
 
-def _parse_angles(spec: Any) -> list[Direction]:
+def _parse_angles(spec: Any) -> tuple[list[Direction], list[float] | None]:
+    """Directions and their degrees as given (-0 as 0.0), or None for 3-vectors."""
     if isinstance(spec, str):
         if ";" in spec:
             spec = [_parse_number_list(part) for part in spec.split(";")]
@@ -199,13 +197,14 @@ def _parse_angles(spec: Any) -> list[Direction]:
     if not isinstance(spec, (list, tuple)) or len(spec) == 0:
         raise ConfigurationError(f"cannot interpret angle spec {spec!r}")
     if all(np.isscalar(v) for v in spec):
-        return [Direction.from_plane_degrees(_number(v)) for v in spec]
+        degrees = [_number(v) + 0.0 for v in spec]
+        return [Direction.from_plane_degrees(v) for v in degrees], degrees
     directions = []
     for entry in spec:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ConfigurationError(f"direction {entry!r} must have three components")
         directions.append(Direction.normalized(*(_number(v) for v in entry)))
-    return directions
+    return directions, None
 
 
 def _parse_complex_entry(value: Any) -> complex:
@@ -280,15 +279,15 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     minimum over the x-z-plane grid, which need not be the state's minimum:
     the smallest bound cell of a scan of the state at the same step."""
     state = cfg.resolve_state()
-    setting = ChshSetting(*cfg.resolve_directions(4))
+    directions, angles = cfg.resolve_directions(4)
+    setting = ChshSetting(*directions)
     step = cfg.grid_step if cfg.grid_step is not None else 1.0
     bound = detection_bound(setting, state)
     grid_min = min_detection_bound(step, state)
-    angles = setting.plane_angles_deg()
     point = {"bound": bound, "no_registration_lower_bound": 1.0 - bound}
     grid = {"grid_min_bound": grid_min, "grid_min_no_registration_lower_bound": 1.0 - grid_min}
     payload = {
-        "angles_deg": None if angles is None else list(angles),
+        "angles_deg": angles,
         "directions": [list(d.as_array()) for d in setting.directions()],
         **point,
         "grid_step_deg": step,
@@ -424,15 +423,14 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Run a local model over the four CHSH pairs and report its statistics."""
     model = MODELS[cfg.model]()
-    setting = ChshSetting(*cfg.resolve_directions(4))
-    sim = simulate_chsh(model, setting, cfg.trials, cfg.seed, cfg.workers)
+    directions, angles = cfg.resolve_directions(4)
+    sim = simulate_chsh(model, ChshSetting(*directions), cfg.trials, cfg.seed, cfg.workers)
     columns = ["metric", "setting", "value", "std_error"]
-    angles = setting.plane_angles_deg()
     payload = {
         "model": cfg.model,
         "trials": cfg.trials,
         "seed": cfg.seed,
-        "angles_deg": None if angles is None else list(angles),
+        "angles_deg": angles,
         "metrics": [dict(zip(columns, row)) for row in sim.rows],
     }
     return _emit(cfg, payload, columns, sim.rows)
@@ -441,7 +439,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_sequential(cfg: ExperimentConfig) -> int:
     """Report the factored two-measurement distribution and its correlation."""
     state = cfg.resolve_state()
-    direction_a, direction_b = cfg.resolve_directions(2)
+    (direction_a, direction_b), _ = cfg.resolve_directions(2)
     det = cfg.resolve_detection(state.label, ("a", "b"))
     obs_a = GeneralizedObservable(spin_observable(direction_a, 1))
     obs_b = GeneralizedObservable(spin_observable(direction_b, 2))

@@ -97,7 +97,8 @@ class Direction:
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "Direction":
-        norm = math.sqrt(x * x + y * y + z * z)
+        """The direction of (x, y, z), by a norm that cannot overflow or underflow."""
+        norm = math.hypot(x, y, z)
         if norm <= 0.0:
             raise InputValidationError("cannot normalize the zero vector")
         return cls(x / norm, y / norm, z / norm)
@@ -107,12 +108,6 @@ class Direction:
 
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def plane_angle_deg(self) -> float | None:
-        """In-plane angle from the z axis in degrees, or None if out of plane."""
-        if abs(self.y) > ALGEBRA_TOL:
-            return None
-        return math.degrees(math.atan2(self.x, self.z)) % 360.0
 
 
 X_AXIS = Direction(1.0, 0.0, 0.0)

@@ -101,18 +101,14 @@ def row_loop_grid_max(left: np.ndarray, right: np.ndarray, pa: float, pap: float
 
 class TestChshSetting:
     def test_tsirelson_preset_angles(self):
-        assert ChshSetting.tsirelson().plane_angles_deg() == pytest.approx(
-            (0.0, 90.0, 45.0, 135.0), abs=1e-9
+        """The preset's one angle list, each angle in its role with exact
+        x-z components."""
+        h = math.sqrt(0.5)
+        assert chsh._TSIRELSON_DEG == (0.0, 90.0, 45.0, 135.0)
+        assert ChshSetting.tsirelson() == ChshSetting(
+            Direction(0.0, 0.0, 1.0), Direction(1.0, 0.0, 0.0),
+            Direction(h, 0.0, h), Direction(h, 0.0, -h),
         )
-
-    def test_from_plane_angles_roundtrip(self):
-        setting = ChshSetting.from_plane_angles(10.0, 100.0, 55.0, 145.0)
-        assert setting.plane_angles_deg() == pytest.approx((10.0, 100.0, 55.0, 145.0))
-
-    def test_out_of_plane_setting_has_no_angles(self):
-        y = Direction(0.0, 1.0, 0.0)
-        setting = ChshSetting(y, y, y, y)
-        assert setting.plane_angles_deg() is None
 
 
 def test_import_does_not_load_scipy():
@@ -546,14 +542,13 @@ def reference_scan_blocks(corr, probs):
 
 class TestAngleScan:
     def test_quarter_pi_grid_contains_tsirelson(self):
-        reports = list(angle_scan(singlet_state(), DetectionModel.uniform(1.0), math.pi / 4.0))
-        assert len(reports) == 8**4
-        hits = [
-            r
-            for r in reports
-            if r.setting.plane_angles_deg() == pytest.approx((0.0, 90.0, 45.0, 135.0), abs=1e-9)
-        ]
+        reports = angle_scan(singlet_state(), DetectionModel.uniform(1.0), math.pi / 4.0)
+        rows = list(zip(product(range(8), repeat=4), reports, strict=True))
+        assert len(rows) == 8**4
+        # Rows run lexicographically in (a, a', b, b'), row angles k * 45.
+        hits = [r for index, r in rows if [45.0 * k for k in index] == [0.0, 90.0, 45.0, 135.0]]
         assert len(hits) == 1
+        assert hits[0].setting == ChshSetting.tsirelson()
         assert hits[0].standard_lhs == pytest.approx(TSIRELSON, abs=1e-12)
         assert hits[0].standard_violated
 

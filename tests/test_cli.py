@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from itertools import product
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ def spin_keyed_detection():
     for angle, subsystem, p in ((45.0, 1, 0.5), (270.0, 1, 0.6), (90.0, 2, 0.7)):
         entries[("singlet", spin_label(Direction.from_plane_degrees(angle), subsystem))] = p
     return DetectionModel(entries=entries)
+
+
+def grid_reports(det, step):
+    """Each row's angles k * step, from its grid indices, and angle_scan's
+    singlet report of the row; rows run lexicographically in (a, a', b, b')."""
+    indices = product(range(int(360.0 // step)), repeat=4)
+    reports = angle_scan(singlet_state(), det, math.radians(step))
+    for index, report in zip(indices, reports, strict=True):
+        yield [k * step for k in index], report
 
 
 def run_cli(capsys, *argv):
@@ -317,8 +327,8 @@ class TestScan:
         entries = {("singlet", role): p for role, p in zip(roles, probs)}
         det = DetectionModel(entries=entries, apparatus_factor=0.5)
         expected = []
-        for r in angle_scan(singlet_state(), det, math.radians(33.0)):
-            cells = [*r.setting.plane_angles_deg(), *r.detection_probs]
+        for angles, r in grid_reports(det, 33.0):
+            cells = [*angles, *r.detection_probs]
             cells += [r.standard_lhs, r.modified_lhs, r.bound]
             flags = [str(r.standard_violated).lower(), str(r.modified_violated).lower()]
             expected.append(",".join(["%.6f" % v for v in cells] + flags))
@@ -334,8 +344,8 @@ class TestScan:
         det = spin_keyed_detection()
         text = "".join(_scan_csv(chsh._scan_grid(singlet_state(), det, 45.0)))
         expected = []
-        for r in angle_scan(singlet_state(), det, math.pi / 4.0):
-            cells = [*r.setting.plane_angles_deg(), *r.detection_probs]
+        for angles, r in grid_reports(det, 45.0):
+            cells = [*angles, *r.detection_probs]
             cells += [r.standard_lhs, r.modified_lhs, r.bound]
             flags = [str(r.standard_violated).lower(), str(r.modified_violated).lower()]
             expected.append(",".join(["%.6f" % v for v in cells] + flags) + "\n")
@@ -351,12 +361,12 @@ class TestScan:
         det = spin_keyed_detection()
         text = "".join(_scan_text(chsh._scan_grid(singlet_state(), det, 45.0)))
         rows = json.loads("[" + text + "]")
-        reports = list(angle_scan(singlet_state(), det, math.pi / 4.0))
+        reports = list(grid_reports(det, 45.0))
         assert len(rows) == len(reports) == 8**4
-        for row, r in zip(rows, reports):
+        for row, (angles, r) in zip(rows, reports):
             assert list(row) == SCAN_COLUMNS
             assert list(row.values()) == [
-                *r.setting.plane_angles_deg(), *r.detection_probs, r.standard_lhs,
+                *angles, *r.detection_probs, r.standard_lhs,
                 r.modified_lhs, r.bound, r.standard_violated, r.modified_violated,
             ]
         assert len({row["pd_a"] for row in rows}) > 1
@@ -519,6 +529,35 @@ class TestSimulate:
                 assert row[2] == "1.000000"
             if row[0] == "fair_sampling_divergence":
                 assert row[2] == "0.000000"
+
+
+# Each --angles value and the angles_deg that bound and simulate print for it.
+GIVEN_ANGLES = [
+    ("10,100,55,145", [10.0, 100.0, 55.0, 145.0]),
+    ("0,30,60,120", [0.0, 30.0, 60.0, 120.0]),
+    ("-0,370,-45,135", [0.0, 370.0, -45.0, 135.0]),
+    (TSIRELSON_VECTORS, None),
+]
+
+
+class TestAnglesDeg:
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    @pytest.mark.parametrize(
+        "spec, expected", GIVEN_ANGLES, ids=["10-100-55-145", "0-30-60-120", "signs", "vectors"]
+    )
+    def test_angles_are_the_degrees_given(self, capsys, command, spec, expected):
+        """The degrees as parsed, not read back from their directions, with
+        -0 as 0.0 and no reduction mod 360; null for 3-vectors, even in plane."""
+        rest = ["--grid-step", "45"] if command == "bound" else ["--model", "sign", "--trials", "10"]
+        code, out, err = run_cli(capsys, command, f"--angles={spec}", "--format", "json", *rest)
+        assert (code, err) == (0, "")
+        # Compared as text, where -0.0 and 0.0 differ.
+        assert json.dumps(json.loads(out)["angles_deg"]) == json.dumps(expected)
+
+    def test_bound_csv_angle_cells_are_the_degrees_given(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--angles=-0,370,-45,135", "--grid-step", "45")
+        assert (code, err) == (0, "")
+        assert csv_rows(out)[1][:4] == ["0.000000", "370.000000", "-45.000000", "135.000000"]
 
 
 class TestSequential:

@@ -89,7 +89,7 @@ SIMULATE_DIGESTS = {
     "simulate-sign-plane.json": (
         ["simulate", "--format", "json", "--model", "sign", "--angles", "10,100,55,145",
          "--trials", "300000"],
-        "3cb451fa429f2987d21804eb6cc2b419db20fa66da298517598f13db39101886",
+        "6a9f23fc043f253d552ef859ded0001ac4f6f262f86b7892b035c79a3a48829e",
     ),
     "simulate-out-of-plane.json": (
         ["simulate", "--format", "json", "--angles", "0,0,1;1,0,0;0.6,0.8,0;0,0.6,0.8",
