@@ -333,8 +333,9 @@ def _scan_grid(state: DensityState, det: DetectionModel, grid_step_deg: float) -
 def _scan_slabs(corr: np.ndarray, probs: Sequence[Sequence[float]]) -> Iterator[tuple]:
     """Yield (ia, aps, standard, modified, bound, standard_violated,
     modified_violated) per slab in lexicographic order: one a and a slice aps
-    of k = max(1, min(n, _SLAB_ROWS // n**2)) a' (fewer at the end of a's
-    run), the last five as arrays indexed [a' - aps.start, b, b'].
+    of k a' (fewer at the end of a's run), the last five as arrays indexed
+    [a' - aps.start, b, b'].  k = ceil(n / ceil(n / k0)) evens out the runs
+    of k0 = max(1, min(n, _SLAB_ROWS // n**2)): 12 + 12 at 15 degrees.
 
     Each slab is one _combination call per functional and the bound of the
     standard one, as in standard_chsh_lhs and modified_chsh_lhs, so every
@@ -342,6 +343,7 @@ def _scan_slabs(corr: np.ndarray, probs: Sequence[Sequence[float]]) -> Iterator[
     """
     n = len(corr)
     k = max(1, min(n, _SLAB_ROWS // (n * n)))
+    k = -(-n // -(-n // k))
     pa, pap, pb, pbp = (np.array(p, dtype=float) for p in probs)
     # Row i as a column over b and as a row over b' (rows aps: axis 0 is a').
     clipped = np.clip(corr, -1.0, 1.0)

@@ -3,13 +3,14 @@
 Data goes to stdout as CSV (fixed-point, 6 decimals) or JSON (full
 precision, schema_version 1); diagnostics go to stderr.  bound, simulate and
 sequential write through one emitter; scan streams its rows one slab of at
-most max(chsh._SLAB_ROWS, n**2) rows at a time, as NUL-padded CSV records
-or as one JSON f-string per row.  CSV number cells are byte-identical to
-Python's '%.6f', correctly rounded with ties to even.  The subcommands are
-built from one table.  argparse only collects strings, and a flag, whose
-dest is its config key, is converted and checked like that key's value in a
-config file.  Exit code 0 on success; 2 with one "error:" line for a bad
-value, or with argparse's usage for a malformed command line.
+most max(chsh._SLAB_ROWS, n**2) rows at a time, as one JSON f-string per row
+or as NUL-padded CSV records, written as bytes where those equal the text.
+CSV number cells are byte-identical to Python's '%.6f', correctly rounded
+with ties to even.  The subcommands are built from one table.  argparse only
+collects strings, and a flag, whose dest is its config key, is converted and
+checked like that key's value in a config file.  Exit code 0 on success; 2
+with one "error:" line for a bad value, or with argparse's usage for a
+malformed command line.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from itertools import accumulate, product
-from typing import Any, Iterator, Sequence
+from itertools import accumulate, chain, product
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -330,15 +331,16 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     return leads.view(np.uint32)[:, 0], digits.view(np.uint32)[:, 0]
 
 
-def _scan_csv(scan: tuple) -> Iterator[str]:
-    """The rows of a _scan_grid scan as CSV text, one chunk per slab.
+def _scan_csv(scan: tuple) -> Iterator[bytes]:
+    """The rows of a _scan_grid scan as ASCII CSV bytes, one chunk per slab.
 
     A slab of k (a, a') blocks is one record per row of left-aligned,
     NUL-padded byte fields: the a and a' cells, a (b, b') table tiled k
     times, the pd_a and pd_a' cells, a tiled (pd_b, pd_b') table, three
     _fixed6 numbers each before a comma and a flag pair ending in a newline.
-    The records are laid out once, for the first and largest slab, of at
-    most max(_SLAB_ROWS, n**2) rows.  Dropping the NULs leaves the rows.
+    The records are laid out once, in one bytearray, for the first and
+    largest slab of at most max(_SLAB_ROWS, n**2) rows; its NUL-free copy is
+    a slab's chunk, the one copy a slab makes.
     """
     def cells(texts: list[str]) -> np.ndarray:  # NUL-padded to the longest
         return np.array([text.encode("ascii") for text in texts])
@@ -356,7 +358,8 @@ def _scan_csv(scan: tuple) -> Iterator[str]:
     rows = None
     for ia, aps, standard, modified, bound, standard_violated, modified_violated in slabs:
         if rows is None:
-            rows = np.zeros(standard.size, record)
+            buffer = bytearray(standard.size * record.itemsize)
+            rows = np.frombuffer(buffer, record)
             ib, ibp = np.divmod(np.arange(standard.size) % (n * n), n)
             rows["b_deg"], rows["bprime_deg"] = angle[ib], angle[ibp]
             rows["pd_b"], rows["pd_bprime"] = pb[ib], pbp[ibp]
@@ -368,7 +371,7 @@ def _scan_csv(scan: tuple) -> Iterator[str]:
         for name, values in zip(names[8:11], (standard, modified, bound)):
             slab[name] = _fixed6(values.reshape(-1)).view("S8")[:, 0]
         slab["flags"] = flags[(2 * standard_violated + modified_violated).ravel()]
-        yield slab.tobytes().replace(b"\0", b"").decode("ascii")
+        yield (buffer if len(slab) == len(rows) else buffer[: slab.nbytes]).replace(b"\0", b"")
 
 
 def _scan_text(scan: tuple) -> Iterator[str]:
@@ -415,9 +418,21 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
         sys.stdout.writelines(_scan_text(scan))
         sys.stdout.write("\n  ]\n}\n")
         return 0
-    sys.stdout.write(",".join(SCAN_COLUMNS) + "\n")
-    sys.stdout.writelines(_scan_csv(scan))
+    _write_ascii(chain([",".join(SCAN_COLUMNS).encode() + b"\n"], _scan_csv(scan)))
     return 0
+
+
+def _write_ascii(chunks: Iterable[bytes]) -> None:
+    """Write ASCII chunks to stdout as their text would be: as bytes to the
+    interpreter's own stdout, which CPython opens with newline="\n", if its
+    encoding writes ASCII as itself, else as text, since a TextIOWrapper
+    hides its newline mode.  writelines drops a chunk before the next."""
+    out, probe = sys.stdout, bytes(range(128))
+    if out is sys.__stdout__ and hasattr(out, "buffer"):
+        if probe.decode().encode(out.encoding) == probe:
+            out.flush()
+            return out.buffer.writelines(chunks)
+    out.writelines(chunk.decode("ascii") for chunk in chunks)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:

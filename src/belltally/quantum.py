@@ -82,7 +82,7 @@ class Direction:
     z: float
 
     def __post_init__(self) -> None:
-        norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        norm = math.hypot(self.x, self.y, self.z)  # no overflow or underflow
         # Written so that a NaN component fails the check.
         if not abs(norm - 1.0) <= ALGEBRA_TOL:
             raise InputValidationError(

@@ -648,14 +648,15 @@ class TestAngleScan:
 class TestScanSlabs:
     @pytest.mark.parametrize(
         "slab_rows, k",
-        [(1, 1), (64, 1), (3 * 64 + 63, 3), (8 * 64, 8), (10**6, 8)],
-        ids=["below-one-block", "one-block", "k-3-not-dividing-8", "k-n", "capped-at-n"],
+        [(1, 1), (64, 1), (3 * 64 + 63, 3), (5 * 64, 4), (8 * 64, 8), (10**6, 8)],
+        ids=["below-one-block", "one-block", "k-3-not-dividing-8", "k-5-evened-to-4", "k-n",
+             "capped-at-n"],
     )
     def test_slabs_match_per_block_reference(self, monkeypatch, slab_rows, k):
         """On the 8-angle grid every slab holds k a' indices (fewer at the end
-        of a's run), and each of its (a, a') blocks equals the per-block
-        reference to the byte, for a mixed state and detection keyed by
-        spin_label on some grid angles."""
+        of a's run): a row cap of 5 blocks gives two runs of 4, not 5 + 3.
+        Each (a, a') block equals the per-block reference to the byte, for a
+        mixed state and detection keyed by spin_label on some grid angles."""
         monkeypatch.setattr(chsh, "_SLAB_ROWS", slab_rows)
         state = random_density_state(np.random.default_rng(314), "mixed")
         roles = ("a", "a_prime", "b", "b_prime")

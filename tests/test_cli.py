@@ -339,10 +339,13 @@ class TestScan:
     def test_csv_renderer_formats_per_angle_probabilities(self, monkeypatch, slab_angles):
         """With detection keyed by spin label, pd_a and pd_a' vary along the
         grid, which no command line input gives; every slab of 3 (not
-        dividing 8) or 8 a' angles renders each row's own '%.6f' cells."""
+        dividing 8, so each a's last slab holds 2) or 8 a' angles renders each
+        row's own '%.6f' cells, as ASCII bytes."""
         monkeypatch.setattr(chsh, "_SLAB_ROWS", slab_angles * 64)
         det = spin_keyed_detection()
-        text = "".join(_scan_csv(chsh._scan_grid(singlet_state(), det, 45.0)))
+        chunks = list(_scan_csv(chsh._scan_grid(singlet_state(), det, 45.0)))
+        sizes = [chunk.count(b"\n") for chunk in chunks[:3]]
+        assert sizes == ([192, 192, 128] if slab_angles == 3 else [512, 512, 512])
         expected = []
         for angles, r in grid_reports(det, 45.0):
             cells = [*angles, *r.detection_probs]
@@ -350,7 +353,7 @@ class TestScan:
             flags = [str(r.standard_violated).lower(), str(r.modified_violated).lower()]
             expected.append(",".join(["%.6f" % v for v in cells] + flags) + "\n")
         assert len({row.split(",")[5] for row in expected}) > 1
-        assert text == "".join(expected)
+        assert b"".join(chunks) == "".join(expected).encode("ascii")
 
     @pytest.mark.parametrize("slab_angles", [3, 8])
     def test_json_renderer_writes_per_angle_probabilities(self, monkeypatch, slab_angles):
@@ -375,10 +378,11 @@ class TestScan:
     @needs_wait4
     def test_csv_scan_memory_stays_near_a_bare_import(self):
         """A 15-degree CSV scan (331,776 rows, about 37 MB of text) peaks
-        within 8 MB of importing the CLI, because rows stream out by block."""
+        within 6 MB of importing the CLI, because rows stream out by slab
+        from one reused record buffer."""
         bare = peak_rss("-c", "import belltally.cli")
         scan = peak_rss("-m", "belltally", "scan", "--grid-step", "15")
-        assert scan - bare <= 8 * 2**20
+        assert scan - bare <= 6 * 2**20
 
     @needs_wait4
     def test_json_scan_memory_stays_near_a_bare_import(self):

@@ -14,6 +14,13 @@ model, are digests too, checked at one and at two workers.  Five of the
 scans are rerun with the scan's slab size patched, so that their bytes
 cannot depend on it.
 
+A CSV scan writes bytes to the binary layer of the interpreter's own stdout
+and text to any other.  So every golden file and scan digest is also checked
+through a UTF-8 io.TextIOWrapper over an io.BytesIO that stands in for the
+interpreter's stdout, and the CSV scans through a UTF-16 one and a caller's
+CRLF one, whose bytes must be what writing the text gives, as must those of
+a real `python -m belltally` child writing to a pipe.
+
 The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
 Do that only for an intended output change, and declare it.  The same run
 prints the current sha256 of every GOLDEN_DIGESTS and SIMULATE_DIGESTS
@@ -23,8 +30,11 @@ so a declared change edits them in this file by hand.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -113,6 +123,25 @@ def run_main(argv):
     return out.getvalue().encode("utf-8")
 
 
+def run_main_wrapped(argv, native=True, **wrapper_args):
+    """stdout bytes of a successful main(argv) that wrote nothing to stderr,
+    into an io.TextIOWrapper(io.BytesIO(), **wrapper_args).  With native,
+    the wrapper also stands in for sys.__stdout__, the interpreter's own."""
+    raw = io.BytesIO()
+    out, err = io.TextIOWrapper(raw, **wrapper_args), io.StringIO()
+    own = mock.patch.object(sys, "__stdout__", out) if native else contextlib.nullcontext()
+    with own, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 0, err.getvalue()
+    assert err.getvalue() == ""
+    out.flush()
+    return raw.getvalue()
+
+
+# The interpreter's own stdout as CPython opens it on every platform.
+OWN_STDOUT = {"encoding": "utf-8", "newline": "\n"}
+
+
 def _cases():
     for name, argv in GOLDEN_COMMANDS.items():
         if argv[0] == "simulate":
@@ -133,6 +162,63 @@ def test_output_matches_golden_digest(name):
     assert hashlib.sha256(run_main(argv)).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, argv", list(_cases()))
+def test_output_matches_golden_through_a_binary_stdout(name, argv):
+    assert run_main_wrapped(argv, **OWN_STDOUT) == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
+def test_output_matches_golden_digest_through_a_binary_stdout(name):
+    argv, digest = GOLDEN_DIGESTS[name]
+    assert hashlib.sha256(run_main_wrapped(argv, **OWN_STDOUT)).hexdigest() == digest
+
+
+# A UTF-16 stdout of the interpreter's own, which does not write ASCII as
+# itself, and a caller's CRLF wrapper, whose newline mode cannot be read.
+WRAPPERS = {
+    "utf-16": ({"encoding": "utf-16", "newline": "\n"}, True, "\n", "utf-16"),
+    "crlf": ({"encoding": "utf-8", "newline": "\r\n"}, False, "\r\n", "utf-8"),
+}
+
+
+@pytest.mark.parametrize("wrapper", list(WRAPPERS))
+def test_csv_scan_writes_what_its_text_gives_any_wrapper(monkeypatch, wrapper):
+    """Through either wrapper, the CSV scan writes its text's bytes, here
+    in slabs of 3 of the 8 a' angles, so each a's last slab holds 2."""
+    wrapper_args, native, newline, encoding = WRAPPERS[wrapper]
+    argv = GOLDEN_COMMANDS["scan-45-detection.csv"]
+    monkeypatch.setattr(chsh, "_SLAB_ROWS", 3 * 8 * 8)
+    text = (GOLDEN_DIR / "scan-45-detection.csv").read_bytes().decode("utf-8")
+    expected = text.replace("\n", newline).encode(encoding)
+    assert run_main_wrapped(argv, native, **wrapper_args) == expected
+
+
+def run_child(args, stdin=b"", **env):
+    """stdout bytes of `python *args` writing to a pipe."""
+    src = Path(__file__).parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src), **env},
+    )
+    assert result.stderr == b""
+    return result.stdout
+
+
+def test_csv_scan_child_matches_golden_digest():
+    argv, digest = GOLDEN_DIGESTS["scan-15-detection.csv"]
+    assert hashlib.sha256(run_child(["-m", "belltally", *argv])).hexdigest() == digest
+
+
+def test_utf16_csv_scan_child_writes_what_its_text_gives():
+    """The child's own UTF-16 stdout gets what writing the text to it gives."""
+    golden = (GOLDEN_DIR / "scan-45-detection.csv").read_bytes()
+    argv = ["-m", "belltally", *GOLDEN_COMMANDS["scan-45-detection.csv"]]
+    echo = ["-c", "import sys; sys.stdout.write(sys.stdin.buffer.read().decode())"]
+    expected = run_child(echo, golden, PYTHONIOENCODING="utf-16")
+    assert expected[:4] != golden[:4]
+    assert run_child(argv, PYTHONIOENCODING="utf-16") == expected
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("name", list(SIMULATE_DIGESTS))
 def test_simulate_matches_golden_digest(name, workers):
@@ -141,7 +227,9 @@ def test_simulate_matches_golden_digest(name, workers):
 
 
 # Scans rerun with chsh._SLAB_ROWS patched so that each slab holds k = 1,
-# k = n // 2 + 1 (dividing none of these n) or k = n of the n grid angles.
+# k = 3 or k = n of the n grid angles, or caps it at n // 2 + 1, which
+# _scan_slabs evens to two runs of n // 2.  k = 3 divides neither n = 8 nor
+# n = 10, so there each a's last slab is shorter.
 SLAB_SCANS = {
     "scan-45-detection.csv": 8,
     "scan-90.json": 4,
@@ -151,11 +239,11 @@ SLAB_SCANS = {
 }
 
 
-@pytest.mark.parametrize("k", ["1", "half-plus-one", "n"])
+@pytest.mark.parametrize("k", ["1", "3", "half-plus-one", "n"])
 @pytest.mark.parametrize("name", list(SLAB_SCANS))
 def test_scan_bytes_do_not_depend_on_the_slab_size(monkeypatch, name, k):
     n = SLAB_SCANS[name]
-    slab_angles = {"1": 1, "half-plus-one": n // 2 + 1, "n": n}[k]
+    slab_angles = {"1": 1, "3": 3, "half-plus-one": n // 2 + 1, "n": n}[k]
     monkeypatch.setattr(chsh, "_SLAB_ROWS", slab_angles * n * n)
     if name in GOLDEN_DIGESTS:
         argv, digest = GOLDEN_DIGESTS[name]

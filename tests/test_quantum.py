@@ -1,5 +1,6 @@
 """Tests for the two-qubit state and measurement layer."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ class TestDirection:
     def test_requires_unit_norm(self):
         with pytest.raises(InputValidationError):
             Direction(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "components, norm",
+        [((1e200, 0.0, 0.0), "1e+200"), ((1e-200, 0.0, 0.0), "1e-200"),
+         ((3e-170, 4e-170, 0.0), "5e-170")],
+    )
+    def test_unit_norm_error_names_the_norm(self, components, norm):
+        """The squares of these components overflow to inf or underflow to
+        0, yet the message names the vector's true norm."""
+        with pytest.raises(InputValidationError, match=re.escape(f"got |v| = {norm}") + "$"):
+            Direction(*components)
 
     def test_normalized_rescales(self):
         d = Direction.normalized(3.0, 4.0, 0.0)
