@@ -17,9 +17,9 @@ cannot depend on it.
 A CSV scan writes bytes to the binary layer of the interpreter's own stdout
 and text to any other.  So every golden file and scan digest is also checked
 through a UTF-8 io.TextIOWrapper over an io.BytesIO that stands in for the
-interpreter's stdout, and the CSV scans through a UTF-16 one and a caller's
-CRLF one, whose bytes must be what writing the text gives, as must those of
-a real `python -m belltally` child writing to a pipe.
+interpreter's stdout, and the 45 degree CSV scan through a UTF-16 one and
+a caller's CRLF one, whose bytes must be what writing the text gives, as
+must those of a real `python -m belltally` child writing to a pipe.
 
 The files are regenerated with ``PYTHONPATH=src python tests/test_golden.py``.
 Do that only for an intended output change, and declare it.  The same run
