@@ -24,8 +24,7 @@ _EXPORTS = {
     " constant_model fair_sampling_check gisin_gisin_model random_microstate_model"
     " run_experiment sample_hidden_uniform sign_model simulate_chsh summary_chsh",
     "quantum": "X_AXIS Y_AXIS Z_AXIS DensityState Direction SpinObservable"
-    " born_joint_probability born_probability observables_commute"
-    " quantum_expectation_product singlet_state spin_label spin_observable",
+    " singlet_state spin_label spin_observable",
 }
 _SUBMODULES = (*_EXPORTS, "cli")
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

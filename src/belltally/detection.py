@@ -51,7 +51,10 @@ class GeneralizedObservable:
     no_registration_outcome: float = 0.0
 
     def __post_init__(self) -> None:
-        if float(self.no_registration_outcome) in self.base.outcomes:
+        value = float(self.no_registration_outcome)
+        if not np.isfinite(value):
+            raise InputValidationError(f"no-registration outcome must be finite, got {value!r}")
+        if value in self.base.outcomes:
             raise InputValidationError(
                 f"no-registration outcome {self.no_registration_outcome!r} collides "
                 f"with the spectrum {self.base.outcomes} of {self.base.label!r}"

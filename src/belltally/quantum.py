@@ -1,13 +1,11 @@
-"""Two-qubit states, spin observables, their Fano form and Born probabilities.
+"""Two-qubit states, spin observables and their Fano form.
 
 Conventions
 -----------
 * Hilbert space: C^2 (x) C^2 with product basis ordered (++, +-, -+, --).
   Subsystem 1 is the left tensor factor, subsystem 2 the right.
 * A measurement direction is a unit vector in R^3.  A spin observable is a
-  (direction, subsystem) pair with outcomes +1 and -1; along direction ``a``
-  on subsystem 1 its projectors are ((I + sigma.a)/2) (x) I and
-  ((I - sigma.a)/2) (x) I, built only when something reads them.
+  (direction, subsystem) pair with outcomes +1 and -1.
 * States are density operators: Hermitian, unit trace, positive semidefinite
   up to a small numerical floor.
 * Every number the package reports depends on a state only through its
@@ -15,10 +13,6 @@ Conventions
   (Fano, Rev. Mod. Phys. 55, 855 (1983)): the Bloch vectors r_A = F[1:, 0]
   and r_B = F[0, 1:] and the correlation tensor T = F[1:, 1:].  It is
   computed once per state and cached as DensityState.fano.
-* born_probability, born_joint_probability and quantum_expectation_product
-  follow the Born rule Tr[rho P1 P2] over spin projectors, defined only for
-  commuting observables.  No command uses them: they are the projector
-  route that the Fano form is tested against.
 
 Algebraic identities are enforced at tolerance 1e-12; the positive
 semidefiniteness floor is -1e-10 on the smallest eigenvalue.
@@ -67,12 +61,6 @@ def plane_components(angles_deg) -> np.ndarray:
     return np.stack([np.choose(k, cycle), np.choose((k + 1) % 4, cycle)], axis=-1) + 0.0
 
 
-def _frozen_copy(matrix: np.ndarray) -> np.ndarray:
-    out = np.array(matrix, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class Direction:
     """Unit vector in R^3 specifying a spin measurement axis."""
@@ -98,6 +86,8 @@ class Direction:
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "Direction":
         """The direction of (x, y, z), by a norm that cannot overflow or underflow."""
+        if not all(map(math.isfinite, (x, y, z))):
+            raise InputValidationError(f"direction components must be finite, got {(x, y, z)!r}")
         norm = math.hypot(x, y, z)
         if norm <= 0.0:
             raise InputValidationError("cannot normalize the zero vector")
@@ -138,7 +128,8 @@ class DensityState:
             raise InputValidationError(
                 f"state matrix is not positive semidefinite (min eigenvalue {eigenvalues.min():.3e})"
             )
-        object.__setattr__(self, "matrix", _frozen_copy(mat))
+        object.__setattr__(self, "matrix", mat.copy())
+        self.matrix.setflags(write=False)
 
     @cached_property
     def fano(self) -> np.ndarray:
@@ -159,8 +150,7 @@ class DensityState:
 
 @dataclass(frozen=True)
 class SpinObservable:
-    """Spin component along ``direction`` on one subsystem, with outcomes
-    +1 and -1.  Its projectors are built on first read."""
+    """Spin component along ``direction`` on one subsystem, with outcomes +1 and -1."""
 
     direction: Direction
     subsystem: int
@@ -173,24 +163,6 @@ class SpinObservable:
     @property
     def label(self) -> str:
         return spin_label(self.direction, self.subsystem)
-
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only projectors onto the +1 and -1 outcomes."""
-        d = self.direction
-        pauli = d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z
-        halves = ((IDENTITY_2 + pauli) / 2.0, (IDENTITY_2 - pauli) / 2.0)
-        if self.subsystem == 1:
-            return tuple(_frozen_copy(np.kron(h, IDENTITY_2)) for h in halves)
-        return tuple(_frozen_copy(np.kron(IDENTITY_2, h)) for h in halves)
-
-    def projector_for(self, outcome: float) -> np.ndarray:
-        for value, proj in zip(self.outcomes, self.projectors):
-            if value == float(outcome):
-                return proj
-        raise InputValidationError(
-            f"outcome {outcome!r} is not in the spectrum {self.outcomes} of {self.label!r}"
-        )
 
 
 def singlet_state(label: str = "singlet") -> DensityState:
@@ -207,56 +179,3 @@ def spin_label(direction: Direction, subsystem: int) -> str:
 def spin_observable(direction: Direction, subsystem: int) -> SpinObservable:
     """Spin component along ``direction`` acting on one subsystem."""
     return SpinObservable(direction, subsystem)
-
-
-def observables_commute(obs1: SpinObservable, obs2: SpinObservable) -> bool:
-    """Whether every projector of obs1 commutes with every projector of obs2."""
-    for p in obs1.projectors:
-        for q in obs2.projectors:
-            if np.max(np.abs(p @ q - q @ p)) > ALGEBRA_TOL:
-                return False
-    return True
-
-
-def _clamp_probability(value: float) -> float:
-    return min(1.0, max(0.0, value))
-
-
-def born_probability(state: DensityState, observable: SpinObservable, outcome: float) -> float:
-    """Tr[rho P_outcome], clamped to [0, 1]."""
-    proj = observable.projector_for(outcome)
-    return _clamp_probability(float(np.trace(state.matrix @ proj).real))
-
-
-def born_joint_probability(
-    state: DensityState,
-    obs1: SpinObservable,
-    outcome1: float,
-    obs2: SpinObservable,
-    outcome2: float,
-) -> float:
-    """Joint Born probability Tr[rho P1 P2] for compatible observables."""
-    if not observables_commute(obs1, obs2):
-        raise InputValidationError(
-            f"observables {obs1.label!r} and {obs2.label!r} do not commute; "
-            "joint Born probabilities are undefined"
-        )
-    p1 = obs1.projector_for(outcome1)
-    p2 = obs2.projector_for(outcome2)
-    return _clamp_probability(float(np.trace(state.matrix @ p1 @ p2).real))
-
-
-def quantum_expectation_product(
-    state: DensityState, obs1: SpinObservable, obs2: SpinObservable
-) -> float:
-    """<O1 O2> = sum_np a_n b_p Tr[rho P_n Q_p] for compatible observables."""
-    if not observables_commute(obs1, obs2):
-        raise InputValidationError(
-            f"observables {obs1.label!r} and {obs2.label!r} do not commute; "
-            "the product expectation is undefined"
-        )
-    total = 0.0
-    for a_value, a_proj in zip(obs1.outcomes, obs1.projectors):
-        for b_value, b_proj in zip(obs2.outcomes, obs2.projectors):
-            total += a_value * b_value * float(np.trace(state.matrix @ a_proj @ b_proj).real)
-    return total

@@ -18,8 +18,6 @@ from belltally import (
     DetectionModel,
     Direction,
     GeneralizedObservable,
-    born_joint_probability,
-    born_probability,
     conditional_expectations,
     detection_bound,
     fair_sampling_check,
@@ -27,7 +25,6 @@ from belltally import (
     gisin_gisin_model,
     min_detection_bound,
     modified_lhs_grid_max,
-    quantum_expectation_product,
     random_microstate_model,
     run_experiment,
     sequential_distribution_factored,
@@ -42,6 +39,7 @@ from belltally import (
 from belltally.cli import main
 
 from conftest import random_density_state, random_direction
+from projector_oracle import born_joint_probability, born_probability, quantum_expectation_product
 
 QUARTER_ROOT = 2.0 ** -0.25
 

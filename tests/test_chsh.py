@@ -32,7 +32,6 @@ from belltally import (
     spin_label,
     spin_observable,
     standard_chsh_lhs,
-    quantum_expectation_product,
 )
 from belltally import chsh
 from belltally.cli import main
@@ -45,6 +44,7 @@ from belltally.chsh import (
 )
 from belltally.quantum import plane_components
 from conftest import random_density_state, random_direction, werner_state
+from projector_oracle import quantum_expectation_product
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 QUARTER_ROOT = 2.0 ** -0.25

@@ -864,6 +864,19 @@ class TestErrors:
         assert "NaN" not in out
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--angles", "inf,0,0;0,0,1;1,0,0;0,1,0"],
+            ["sequential", "--angles", "nan,0,0;0,0,1"],
+        ],
+        ids=["bound-inf-component", "sequential-nan-component"],
+    )
+    def test_non_finite_vector_component_is_named(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
+    @pytest.mark.parametrize(
         "argv, config",
         [
             (["scan", "--grid-step", "90"], {"detection": True}),

@@ -18,16 +18,15 @@ from belltally import (
     OutcomeDistribution,
     X_AXIS,
     Z_AXIS,
-    born_joint_probability,
-    born_probability,
+    SpinObservable,
     generalized_correlation,
-    quantum_expectation_product,
     sequential_distribution_factored,
     singlet_state,
     spin_observable,
 )
 
 from conftest import random_density_state, random_direction
+from projector_oracle import born_joint_probability, born_probability
 
 
 def spin_z1():
@@ -38,6 +37,12 @@ class TestGeneralizedObservable:
     def test_outcome_collision_rejected(self):
         with pytest.raises(InputValidationError):
             GeneralizedObservable(spin_observable(Z_AXIS, 1), no_registration_outcome=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_no_registration_outcome_rejected(self, bad):
+        """Such an outcome would turn every correlation into NaN."""
+        with pytest.raises(InputValidationError, match="must be finite"):
+            GeneralizedObservable(spin_observable(Z_AXIS, 1), no_registration_outcome=bad)
 
     def test_passthrough_fields(self):
         obs = spin_z1()
@@ -131,11 +136,12 @@ class TestSequentialFactored:
             )
 
     def test_builds_no_projectors(self):
-        """The factored form reads each observable's direction only."""
+        """The factored form reads each observable's direction only: a spin
+        observable has no projectors to build."""
         obs_a, obs_b = spin_z1(), GeneralizedObservable(spin_observable(X_AXIS, 2))
         sequential_distribution_factored(singlet_state(), obs_a, obs_b, DetectionModel.uniform(0.9))
-        assert "projectors" not in obs_a.base.__dict__
-        assert "projectors" not in obs_b.base.__dict__
+        assert not hasattr(SpinObservable, "projectors")
+        assert not hasattr(obs_a.base, "projectors") and not hasattr(obs_b.base, "projectors")
 
     def test_fano_tables_match_the_born_route(self):
         """With detection 1 or 0 per side the table holds the Fano form's

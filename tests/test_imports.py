@@ -48,8 +48,7 @@ EXPORTS = {
     ),
     "quantum": (
         "X_AXIS", "Y_AXIS", "Z_AXIS", "DensityState", "Direction", "SpinObservable",
-        "born_joint_probability", "born_probability", "observables_commute",
-        "quantum_expectation_product", "singlet_state", "spin_label", "spin_observable",
+        "singlet_state", "spin_label", "spin_observable",
     ),
 }
 
@@ -137,6 +136,11 @@ class TestExports:
             belltally.no_such_name
         with pytest.raises(ImportError):
             from belltally import no_such_name  # noqa: F401
+
+    def test_projector_route_is_not_exported(self):
+        """The Born-rule projector route lives in tests/projector_oracle.py."""
+        with pytest.raises(AttributeError, match="'belltally' has no attribute 'born_probability'"):
+            belltally.born_probability
 
     def test_star_import_binds_exactly_all(self):
         namespace = {}

@@ -10,10 +10,6 @@ from belltally import (
     InputValidationError,
     X_AXIS,
     Z_AXIS,
-    born_joint_probability,
-    born_probability,
-    observables_commute,
-    quantum_expectation_product,
     singlet_state,
     spin_label,
     spin_observable,
@@ -21,20 +17,23 @@ from belltally import (
 from belltally.quantum import DensityState, plane_components
 
 from conftest import random_density_state, random_direction
+from projector_oracle import (
+    SIGMA,
+    born_joint_probability,
+    born_probability,
+    observables_commute,
+    projector_for,
+    projectors,
+    quantum_expectation_product,
+)
 
 SQRT2 = math.sqrt(2.0)
-
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 def su2_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     # exp(-i angle/2 n.sigma), built from scratch so the oracle does not
     # depend on package internals.
-    n_dot_sigma = axis[0] * _PAULI["x"] + axis[1] * _PAULI["y"] + axis[2] * _PAULI["z"]
+    n_dot_sigma = axis[0] * SIGMA[0] + axis[1] * SIGMA[1] + axis[2] * SIGMA[2]
     return math.cos(angle / 2.0) * np.eye(2) - 1j * math.sin(angle / 2.0) * n_dot_sigma
 
 
@@ -69,8 +68,13 @@ class TestDirection:
         assert (d.x, d.y, d.z) == pytest.approx((0.6, 0.8, 0.0), abs=1e-15)
 
     def test_normalized_rejects_zero_vector(self):
-        with pytest.raises(InputValidationError):
+        with pytest.raises(InputValidationError, match="zero vector"):
             Direction.normalized(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_normalized_names_non_finite_components(self, bad):
+        with pytest.raises(InputValidationError, match=r"must be finite, got \(0\.0, .*, 1\.0\)$"):
+            Direction.normalized(0.0, bad, 1.0)
 
     def test_in_plane_angles(self):
         assert Direction.from_plane_degrees(0.0) == Z_AXIS
@@ -142,7 +146,7 @@ class TestFanoForm:
     def test_entries_are_pauli_traces(self):
         """Oracle: Tr[rho s_i (x) s_j] from the test's own Pauli matrices."""
         state = random_density_state(np.random.default_rng(17))
-        paulis = [np.eye(2), _PAULI["x"], _PAULI["y"], _PAULI["z"]]
+        paulis = [np.eye(2), *SIGMA]
         expected = [[np.trace(state.matrix @ np.kron(p, q)).real for q in paulis] for p in paulis]
         np.testing.assert_allclose(state.fano, expected, rtol=0.0, atol=1e-15)
 
@@ -159,31 +163,24 @@ class TestSpinObservable:
         obs = spin_observable(d, 2)
         assert (obs.direction, obs.subsystem) == (d, 2)
 
-    def test_projectors_cached_and_read_only(self):
-        obs = spin_observable(X_AXIS, 1)
-        born_probability(singlet_state(), obs, 1.0)
-        assert obs.projectors is obs.projectors
-        with pytest.raises(ValueError):
-            obs.projectors[0][0, 0] = 0.0
-
     def test_z_on_first_subsystem(self):
         obs = spin_observable(Z_AXIS, 1)
         assert obs.outcomes == (1.0, -1.0)
-        np.testing.assert_allclose(obs.projector_for(1.0), np.diag([1, 1, 0, 0]), atol=1e-15)
-        np.testing.assert_allclose(obs.projector_for(-1.0), np.diag([0, 0, 1, 1]), atol=1e-15)
+        np.testing.assert_allclose(projector_for(obs, 1.0), np.diag([1, 1, 0, 0]), atol=1e-15)
+        np.testing.assert_allclose(projector_for(obs, -1.0), np.diag([0, 0, 1, 1]), atol=1e-15)
 
     def test_x_on_second_subsystem(self):
         """Oracle: I (x) (I + sigma_x)/2 expanded by hand."""
         obs = spin_observable(X_AXIS, 2)
         half = np.full((2, 2), 0.5)
-        np.testing.assert_allclose(obs.projector_for(1.0), np.kron(np.eye(2), half), atol=1e-15)
+        np.testing.assert_allclose(projector_for(obs, 1.0), np.kron(np.eye(2), half), atol=1e-15)
 
     def test_projector_invariants_random_direction(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             obs = spin_observable(random_direction(rng), rng.integers(1, 3))
             total = np.zeros((4, 4), dtype=complex)
-            for proj in obs.projectors:
+            for proj in projectors(obs):
                 np.testing.assert_allclose(proj, proj.conj().T, atol=1e-12)
                 np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
                 total += proj
@@ -191,7 +188,7 @@ class TestSpinObservable:
 
     def test_completeness_diagonal_direction(self):
         obs = spin_observable(Direction.normalized(1.0, 1.0, 1.0), 1)
-        np.testing.assert_allclose(sum(obs.projectors), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(sum(projectors(obs)), np.eye(4), atol=1e-12)
 
     def test_invalid_subsystem(self):
         with pytest.raises(InputValidationError):
@@ -199,7 +196,7 @@ class TestSpinObservable:
 
     def test_projector_for_unknown_outcome(self):
         with pytest.raises(InputValidationError):
-            spin_observable(Z_AXIS, 1).projector_for(0.5)
+            projector_for(spin_observable(Z_AXIS, 1), 0.5)
 
 
 class TestDensityStateValidation:
@@ -237,7 +234,7 @@ class TestBornProbability:
         obs_b = spin_observable(Z_AXIS, 2)
         value = born_joint_probability(state, obs_a, 1.0, obs_b, 1.0)
         direct = np.trace(
-            state.matrix @ obs_a.projector_for(1.0) @ obs_b.projector_for(1.0)
+            state.matrix @ projector_for(obs_a, 1.0) @ projector_for(obs_b, 1.0)
         ).real
         assert value == pytest.approx(0.0, abs=1e-12)
         assert value == pytest.approx(max(direct, 0.0), abs=1e-12)
